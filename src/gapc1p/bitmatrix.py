@@ -15,9 +15,10 @@ functions and safe to use from concurrent tasks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 SPARSE = "sparse"
 DENSE = "dense"
@@ -169,24 +170,66 @@ def profile_row(row: Sequence[int], ordering: ColumnOrdering) -> RowProfile:
     return RowProfile(blocks, tuple(gaps))
 
 
+def first_violating_row(
+    rows: Sequence[Sequence[int]],
+    position: Sequence[int],
+    k_eff: int,
+    d_eff: int,
+) -> int:
+    """Index of the first row with more than ``k_eff`` blocks or a gap above ``d_eff``.
+
+    ``position[c]`` is the 1-based position of column c (``position[0]`` is
+    unused).  Returns -1 when every row is within both bounds.  This is the
+    one block/gap row check of the package; callers pass all rows at once.
+    """
+    for i, row in enumerate(rows):
+        ps = sorted([position[c] for c in row])
+        if not ps or ps[-1] - ps[0] < len(ps):
+            continue  # empty, or a single solid block
+        blocks = 1
+        prev = ps[0]
+        for cur in ps:
+            if cur > prev + 1:
+                blocks += 1
+                if blocks > k_eff or cur - prev - 1 > d_eff:
+                    return i
+            prev = cur
+    return -1
+
+
+def valid_forward_maps(matrix: BinaryMatrix, spec: GapSpec) -> Iterator[tuple[int, ...]]:
+    """Yield every forward map that satisfies the spec, in lexicographic order."""
+    n = matrix.num_columns
+    k_eff = spec.block_limit(n)
+    d_eff = spec.gap_limit(n)
+    rows = [row for row in matrix.rows if len(row) >= 2]
+    position = [0] * (n + 1)
+    for forward in itertools.permutations(range(1, n + 1)):
+        for pos, c in enumerate(forward, start=1):
+            position[c] = pos
+        if first_violating_row(rows, position, k_eff, d_eff) < 0:
+            yield forward
+
+
 def check_ordering(matrix: BinaryMatrix, ordering: ColumnOrdering, spec: GapSpec) -> CheckReport:
     """Check every row against the spec; report the lowest-index violation.
 
     If a row breaks both bounds, the block-count violation is the one
     reported.
     """
-    if ordering.num_columns != matrix.num_columns:
+    n = matrix.num_columns
+    if ordering.num_columns != n:
         raise ValueError(
             f"ordering over {ordering.num_columns} columns does not match "
-            f"matrix with {matrix.num_columns}"
+            f"matrix with {n}"
         )
-    for i, row in enumerate(matrix.rows, start=1):
-        profile = profile_row(row, ordering)
-        if spec.k is not None and profile.block_count > spec.k:
-            return CheckReport(False, Violation(i, profile, TOO_MANY_BLOCKS))
-        if spec.delta is not None and profile.gaps and max(profile.gaps) > spec.delta:
-            return CheckReport(False, Violation(i, profile, GAP_TOO_LARGE))
-    return CheckReport(True, None)
+    k_eff = spec.block_limit(n)
+    i = first_violating_row(matrix.rows, (0,) + ordering.inverse, k_eff, spec.gap_limit(n))
+    if i < 0:
+        return CheckReport(True, None)
+    profile = profile_row(matrix.rows[i], ordering)
+    kind = TOO_MANY_BLOCKS if profile.block_count > k_eff else GAP_TOO_LARGE
+    return CheckReport(False, Violation(i + 1, profile, kind))
 
 
 def apply_ordering(matrix: BinaryMatrix, ordering: ColumnOrdering) -> BinaryMatrix:

@@ -3,7 +3,8 @@
 Exit codes: 0 when the queried property holds (satisfied / check passed /
 suite passed), 1 when it provably fails (exhausted / violation), 2 when the
 search hit a limit and the question is undecided, 3 for usage, input, or I/O
-errors.  ``--json`` switches stdout to a single machine-readable object.
+errors, 4 for an internal error (a crash is never reported as a verdict).
+``--json`` switches stdout to a single machine-readable object.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .bitmatrix import (
     SPARSE,
     BinaryMatrix,
     GapSpec,
-    MatrixFormatError,
     check_ordering,
     parse_matrix,
     parse_ordering,
@@ -27,7 +28,6 @@ from .bitmatrix import (
 from .reduction import (
     VARIANT_LITERAL,
     VARIANT_REPAIRED,
-    DimacsFormatError,
     parse_dimacs,
     reduce_theorem2,
     reduce_theorem3,
@@ -35,15 +35,12 @@ from .reduction import (
 )
 from .solver import (
     EXHAUSTED,
-    HEURISTIC_CONSTRAINED,
-    HEURISTIC_INPUT,
     SATISFIED,
     TIMED_OUT,
     SearchConfig,
     SolveOutcome,
     SearchStats,
     brute_force,
-    classic_c1p,
     decide,
 )
 from .gadget import GadgetSpec, build_gadget, verify_rigidity
@@ -53,6 +50,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_UNDECIDED = 2
 EXIT_ERROR = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,10 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--delta", type=_bound, required=True)
     p_solve.add_argument("--timeout", type=float, default=None, metavar="SECS")
     p_solve.add_argument("--nodes", type=int, default=None, metavar="N")
-    p_solve.add_argument("--threads", type=int, default=1, metavar="N")
-    p_solve.add_argument("--no-symmetry", action="store_true")
-    p_solve.add_argument("--heuristic", choices=(HEURISTIC_INPUT, HEURISTIC_CONSTRAINED),
-                         default=HEURISTIC_CONSTRAINED)
     p_solve.add_argument("--brute-force", action="store_true",
                          help="use full permutation enumeration instead of the search")
     p_solve.add_argument("--json", action="store_true")
@@ -126,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=("gadget", "solver", "reduction", "all"),
                           required=True)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--timeout", type=float, default=None, metavar="SECS",
-                          help="accepted for interface stability; budgets are per case")
     p_verify.add_argument("--no-stretch", action="store_true",
                           help="skip the long unsatisfiable companion case")
     p_verify.add_argument("--json", action="store_true")
@@ -199,22 +191,9 @@ def _cmd_solve(args) -> int:
         report = brute_force(matrix, spec)
         witness = report.witnesses[0] if report.witnesses else None
         status = SATISFIED if report.valid_count else EXHAUSTED
-        stats = SearchStats(0, 0.0, {"valid_count": report.valid_count})
-        outcome = SolveOutcome(status, witness, stats)
-    elif args.k == 1 and args.delta == 0:
-        # Classical C1P fast path: polynomial instead of exponential.
-        ordering = classic_c1p(matrix)
-        outcome = SolveOutcome(
-            SATISFIED if ordering else EXHAUSTED, ordering, SearchStats(0, 0.0, {})
-        )
+        outcome = SolveOutcome(status, witness, SearchStats(0, 0.0, {}))
     else:
-        config = SearchConfig(
-            timeout_seconds=args.timeout,
-            node_limit=args.nodes,
-            symmetry_breaking=not args.no_symmetry,
-            column_heuristic=args.heuristic,
-            thread_count=args.threads,
-        )
+        config = SearchConfig(timeout_seconds=args.timeout, node_limit=args.nodes)
         outcome = decide(matrix, spec, config)
     if args.json:
         print(json.dumps({
@@ -341,15 +320,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "reduce":
             return _cmd_reduce(args)
         return _cmd_verify(args)
-    except _CliError as exc:
+    except (_CliError, ValueError, OSError) as exc:  # format errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (MatrixFormatError, DimacsFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except Exception as exc:  # a crash must not read as a verdict
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

@@ -11,10 +11,9 @@ at small scale.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering
+from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, valid_forward_maps
 
 
 @dataclass(frozen=True)
@@ -95,19 +94,14 @@ def verify_rigidity(
     target = tuple(range(1, n + 1))
     rows = build_gadget(GadgetSpec(target, delta, force=True))
     matrix = BinaryMatrix(total, rows)
-    spec = GapSpec(k, delta)
     reversed_target = tuple(reversed(target))
     valid_count = 0
     counterexample: ColumnOrdering | None = None
-    for perm in itertools.permutations(range(1, total + 1)):
-        ordering = ColumnOrdering(perm)
-        if not check_ordering(matrix, ordering, spec).ok:
-            continue
+    for forward in valid_forward_maps(matrix, GapSpec(k, delta)):
         valid_count += 1
-        inverse = ordering.inverse
-        positions = sorted(inverse[c - 1] for c in target)
-        window = tuple(perm[p - 1] for p in range(positions[0], positions[-1] + 1))
-        if window != target and window != reversed_target:
-            if counterexample is None:
-                counterexample = ordering
+        # Target columns are 1..n; the window runs from the first to the last.
+        spots = [p for p, c in enumerate(forward) if c <= n]
+        window = forward[spots[0]:spots[-1] + 1]
+        if window != target and window != reversed_target and counterexample is None:
+            counterexample = ColumnOrdering(forward)
     return RigidityReport(counterexample is None, valid_count, counterexample)

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, profile_row
+from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, first_violating_row
 from .gadget import GadgetSpec, build_gadget, gadget_row_count
 from .solver import SATISFIED, TIMED_OUT, SearchConfig, SolveOutcome, decide
 
@@ -409,17 +409,20 @@ def witness_from_assignment(
         else:
             forward.extend((2 * i, 2 * i - 1))
     forward.extend(output.separator_column(t) for t in range(1, params.d + 1))
-    spec = GapSpec(params.k, params.delta)
     rows = output.matrix.rows
+    position = [0] * (output.matrix.num_columns + 1)
     for j in range(1, params.num_clauses + 1):
         block = output.clause_block(j)
         rest = [c for jj in range(j + 1, params.num_clauses + 1)
                 for c in output.clause_block(jj)]
-        bound = output.clause_row_bound(j)
+        for pos, c in enumerate(forward + list(block) + rest, start=1):
+            position[c] = pos
+        head = rows[:output.clause_row_bound(j)]
         chosen = None
         for perm in itertools.permutations(block):
-            candidate = ColumnOrdering(tuple(forward) + perm + tuple(rest))
-            if _rows_ok(rows[:bound], candidate, spec):
+            for pos, c in enumerate(perm, start=len(forward) + 1):
+                position[c] = pos
+            if first_violating_row(head, position, params.k, params.delta) < 0:
                 chosen = perm
                 break
         if chosen is None:
@@ -428,19 +431,9 @@ def witness_from_assignment(
             )
         forward.extend(chosen)
     ordering = ColumnOrdering(tuple(forward))
-    if not check_ordering(output.matrix, ordering, spec).ok:
+    if not check_ordering(output.matrix, ordering, GapSpec(params.k, params.delta)).ok:
         raise ConstructionError("assembled witness fails the full matrix check")
     return ordering
-
-
-def _rows_ok(rows: Sequence[tuple[int, ...]], ordering: ColumnOrdering, spec: GapSpec) -> bool:
-    for row in rows:
-        profile = profile_row(row, ordering)
-        if spec.k is not None and profile.block_count > spec.k:
-            return False
-        if spec.delta is not None and profile.gaps and max(profile.gaps) > spec.delta:
-            return False
-    return True
 
 
 def verify_reduction(

@@ -9,24 +9,21 @@ definition, so an exhausted search is a proof that no ordering exists.
 
 ``brute_force`` enumerates every permutation and is the ground-truth oracle
 for small universes.  ``classic_c1p`` is the polynomial special case
-(one block, no gaps), backed by a PQ-tree.
+(one block, no gaps), backed by a PQ-tree; ``decide`` routes every spec that
+collapses to it there.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
-from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering
+from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, valid_forward_maps
 from .pqtree import consecutive_ordering
 
 SATISFIED = "satisfied"
 EXHAUSTED = "exhausted"
 TIMED_OUT = "timed_out"
-
-HEURISTIC_INPUT = "input"
-HEURISTIC_CONSTRAINED = "constrained"
 
 # Row modes in the search state machine.
 _FRESH, _IN_BLOCK, _IN_GAP = 0, 1, 2
@@ -47,15 +44,6 @@ class SearchStats:
 class SearchConfig:
     timeout_seconds: float | None = None
     node_limit: int | None = None
-    symmetry_breaking: bool = True
-    column_heuristic: str = HEURISTIC_CONSTRAINED
-    thread_count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.thread_count < 1:
-            raise ValueError("thread_count must be positive")
-        if self.column_heuristic not in (HEURISTIC_INPUT, HEURISTIC_CONSTRAINED):
-            raise ValueError(f"unknown heuristic {self.column_heuristic!r}")
 
 
 @dataclass(frozen=True)
@@ -76,12 +64,20 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
 
     Returns SATISFIED with a witness, EXHAUSTED when the complete search
     proves none exists, or TIMED_OUT when a configured limit was hit.
-    The search itself is single-threaded; ``thread_count`` is accepted for
-    interface stability and does not affect the decision.
+    A spec with ``k == 1`` or ``delta == 0`` allows no gap at all, so it is
+    the classical property and goes to the PQ-tree with no search and no
+    limits.
     """
+    t0 = time.monotonic()
+    if spec.k == 1 or spec.delta == 0:
+        ordering = classic_c1p(matrix)
+        return SolveOutcome(
+            SATISFIED if ordering else EXHAUSTED,
+            ordering,
+            SearchStats(0, time.monotonic() - t0, {}),
+        )
     cfg = config or SearchConfig()
     n_cols = matrix.num_columns
-    t0 = time.monotonic()
     prunes = {"gap": 0, "blocks": 0, "forced": 0, "symmetry": 0}
 
     # Rows with fewer than two ones never constrain an ordering; duplicates
@@ -118,8 +114,6 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     unplaced_mask = all_mask
     bit_first = 1
     bit_last = 1 << (n_cols - 1)
-    use_symmetry = cfg.symmetry_breaking and n_cols >= 2
-    constrained = cfg.column_heuristic == HEURISTIC_CONSTRAINED
     deadline = None if cfg.timeout_seconds is None else t0 + cfg.timeout_seconds
     node_limit = cfg.node_limit
     nodes = 0
@@ -161,9 +155,6 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
                 if mode[r] == _IN_BLOCK:
                     # The row still has ones to place, so this zero opens a
                     # real gap and commits the row to one more block.
-                    if d_eff == 0:
-                        rule = "gap"
-                        break
                     if blocks[r] == k_eff:
                         rule = "blocks"
                         break
@@ -205,9 +196,10 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
                 if cand_mask == 0:
                     prunes["forced"] += 1
                     return False
-        if use_symmetry and cand_mask & bit_last and unplaced_mask & bit_first:
-            # Only explore prefixes placing column 1 before column n_cols;
-            # sound because validity is invariant under reversal.
+        if cand_mask & bit_last and unplaced_mask & bit_first:
+            # Only explore prefixes placing column 1 before column n_cols
+            # (distinct columns: a work row has two ones); sound because
+            # validity is invariant under reversal.
             cand_mask &= ~bit_last
             if cand_mask == 0:
                 prunes["symmetry"] += 1
@@ -218,7 +210,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             low = m & -m
             candidates.append(low.bit_length())
             m ^= low
-        if constrained and len(candidates) > 1:
+        if len(candidates) > 1:
             def urgency(c: int) -> tuple[int, int]:
                 in_gap = active = 0
                 for r in col_rows[c]:
@@ -265,33 +257,12 @@ def brute_force(
     n = matrix.num_columns
     if n > column_cap:
         raise ValueError(f"{n} columns exceeds the brute-force cap of {column_cap}")
-    k_eff = spec.block_limit(n)
-    d_eff = spec.gap_limit(n)
-    rows = [row for row in matrix.rows if len(row) >= 2]
     valid = 0
     witnesses: list[ColumnOrdering] = []
-    inverse = [0] * (n + 1)
-    for perm in itertools.permutations(range(1, n + 1)):
-        for pos, c in enumerate(perm, start=1):
-            inverse[c] = pos
-        ok = True
-        for row in rows:
-            positions = sorted(inverse[c] for c in row)
-            nblocks = 1
-            prev = positions[0]
-            for cur in positions[1:]:
-                if cur > prev + 1:
-                    nblocks += 1
-                    if nblocks > k_eff or cur - prev - 1 > d_eff:
-                        ok = False
-                        break
-                prev = cur
-            if not ok:
-                break
-        if ok:
-            valid += 1
-            if len(witnesses) < witness_cap:
-                witnesses.append(ColumnOrdering(perm))
+    for forward in valid_forward_maps(matrix, spec):
+        valid += 1
+        if len(witnesses) < witness_cap:
+            witnesses.append(ColumnOrdering(forward))
     return ExhaustiveReport(valid, tuple(witnesses))
 
 

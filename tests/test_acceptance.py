@@ -19,6 +19,8 @@ from gapc1p.verifysuite import (
     case_theorem2_satisfiable,
     case_theorem2_stretch,
     case_theorem3_equivalence,
+    ledger_problems,
+    repairs_path,
 )
 
 
@@ -65,6 +67,21 @@ def test_criterion_7_stretch_theorem2_unsatisfiable_companion():
 
 def test_criterion_8_construction_fidelity_ledger():
     report(case_repairs_ledger())
+
+
+def test_criterion_8_ledger_check_rejects_incomplete_ledgers():
+    text = repairs_path().read_text()
+    assert ledger_problems(text) == []
+    # Dropping the R1 section must fail even though "R10" still contains "R1".
+    start = text.index("## R1 - ")
+    without_r1 = text[:start] + text[text.index("## R2 - "):]
+    assert "R1" in without_r1
+    assert ledger_problems(without_r1) == ["headings missing ['R1'], unexpected []"]
+    # A section that stops naming one of its criteria fails too.
+    r9 = text.index("## R9 - ")
+    r10 = text.index("## R10 - ")
+    blanked = text[:r9] + text[r9:r10].replace("C7", "the criterion") + text[r10:]
+    assert ledger_problems(blanked) == ["R9 does not name criterion C7"]
 
 
 def test_criterion_9_collapse_and_reversal_invariants():

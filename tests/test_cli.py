@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -7,12 +8,23 @@ from gapc1p.cli import main
 
 TRIPLE_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 CHAIN_TEXT = "2 3\n1 2\n2 3\n"
+# Every pair of 5 columns: exhausted at (2,1) after 17 search nodes.
+ALL_PAIRS_TEXT = "10 5\n" + "".join(
+    f"{a} {b}\n" for a, b in itertools.combinations(range(1, 6), 2)
+)
 
 
 @pytest.fixture
 def triple(tmp_path):
     path = tmp_path / "triple.txt"
     path.write_text(TRIPLE_TEXT)
+    return path
+
+
+@pytest.fixture
+def all_pairs(tmp_path):
+    path = tmp_path / "all_pairs.txt"
+    path.write_text(ALL_PAIRS_TEXT)
     return path
 
 
@@ -38,15 +50,14 @@ class TestSolve:
     def test_triple_satisfiable_with_gap(self, triple):
         assert main(["solve", "--matrix", str(triple), "--k", "2", "--delta", "1"]) == 0
 
-    def test_node_limit_gives_undecided_exit(self, triple):
-        code = main(["solve", "--matrix", str(triple), "--k", "2", "--delta", "0",
+    def test_node_limit_gives_undecided_exit(self, all_pairs):
+        code = main(["solve", "--matrix", str(all_pairs), "--k", "2", "--delta", "1",
                      "--nodes", "1"])
         assert code == 2
 
-    def test_exit_codes_distinguish_exhausted_from_undecided(self, triple):
-        # (2,0) decides like (1,0) but runs the search, not the fast path.
-        exhausted = main(["solve", "--matrix", str(triple), "--k", "2", "--delta", "0"])
-        undecided = main(["solve", "--matrix", str(triple), "--k", "2", "--delta", "0",
+    def test_exit_codes_distinguish_exhausted_from_undecided(self, all_pairs):
+        exhausted = main(["solve", "--matrix", str(all_pairs), "--k", "2", "--delta", "1"])
+        undecided = main(["solve", "--matrix", str(all_pairs), "--k", "2", "--delta", "1",
                           "--nodes", "1"])
         assert exhausted == 1 and undecided == 2
 
@@ -63,6 +74,19 @@ class TestSolve:
     def test_brute_force_flag(self, triple):
         assert main(["solve", "--matrix", str(triple), "--k", "1", "--delta", "0",
                      "--brute-force"]) == 1
+
+    def test_brute_force_reports_no_prunes(self, triple, capsys):
+        assert main(["solve", "--matrix", str(triple), "--k", "2", "--delta", "1",
+                     "--brute-force", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["prunes"] == {}
+
+    def test_internal_error_is_not_a_verdict(self, triple, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("gapc1p.cli.decide", crash)
+        assert main(["solve", "--matrix", str(triple), "--k", "2", "--delta", "1"]) == 4
+        assert "error: internal: RecursionError" in capsys.readouterr().err
 
     def test_inf_bounds_accepted(self, triple):
         # Unlimited blocks cannot beat a zero gap bound (delta=0 collapse),
@@ -192,6 +216,12 @@ class TestVerify:
 class TestUsage:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 3
+
+    def test_removed_search_flags_are_usage_errors(self, triple):
+        for flag in (["--threads", "2"], ["--no-symmetry"], ["--heuristic", "input"]):
+            assert main(["solve", "--matrix", str(triple), "--k", "2", "--delta", "1",
+                         *flag]) == 3
+        assert main(["verify", "--suite", "gadget", "--timeout", "5"]) == 3
 
     def test_bad_bound_value(self, triple):
         assert main(["solve", "--matrix", str(triple), "--k", "zero", "--delta", "0"]) == 3
