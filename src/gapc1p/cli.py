@@ -277,7 +277,9 @@ def _cmd_verify(args) -> int:
             raise _CliError("--n/--delta/--k select a single gadget case; use --suite gadget")
         if args.n is None or args.delta is None:
             raise _CliError("a single gadget case needs both --n and --delta")
-        results = [run_single_rigidity(args.n, args.delta, args.k or 2, args.extra)]
+        k = 2 if args.k is None else args.k
+        GapSpec(k, args.delta)  # a bad bound is a usage error, not a failed case
+        results = [run_single_rigidity(args.n, args.delta, k, args.extra)]
     else:
         results = run_suite(args.suite, seed=args.seed, stretch=not args.no_stretch)
     if args.json:

@@ -1,11 +1,15 @@
 """Exact decision procedures for gapped consecutive-ones orderings.
 
-``decide`` is a complete backtracking search that places columns left to
-right.  Each row carries a small state machine: not started, inside a block,
-or inside a gap of known length.  A branch is abandoned exactly when some
-row with unplaced ones has grown a gap past the bound, or would have to open
-one block more than allowed.  Both rules are consequences of the state
-definition, so an exhausted search is a proof that no ordering exists.
+``decide`` is a complete search that places columns left to right.  A
+search state is the unplaced-column mask, the placed prefix, and the active
+rows, those with ones on both sides of the prefix boundary, each with its
+block count and open gap length.  Placing a column is refused exactly when
+some row would need one block more than allowed.  The gap bound is enforced
+by forcing: a row whose gap has reached the bound must receive one of its
+own columns next.  Both rules follow from the state definition, so an
+exhausted search is a proof that no ordering exists.  The search is one loop
+over an explicit stack of immutable states, so depth is not limited by the
+recursion limit.
 
 ``brute_force`` enumerates every permutation and is the ground-truth oracle
 for small universes.  ``classic_c1p`` is the polynomial special case
@@ -16,6 +20,7 @@ collapses to it there.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, valid_forward_maps
@@ -25,12 +30,11 @@ SATISFIED = "satisfied"
 EXHAUSTED = "exhausted"
 TIMED_OUT = "timed_out"
 
-# Row modes in the search state machine.
-_FRESH, _IN_BLOCK, _IN_GAP = 0, 1, 2
-
-
-class _BudgetExceeded(Exception):
-    pass
+# A search state: the unplaced-column mask; the active rows (ones on both
+# sides of the prefix boundary) in start order, each mapped to its blocks so
+# far and its open gap length (0 inside a block); and the placed prefix as a
+# linked list (last column, rest of prefix), None when empty.
+_State = tuple[int, dict[int, tuple[int, int]], tuple | None]
 
 
 @dataclass
@@ -78,7 +82,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         )
     cfg = config or SearchConfig()
     n_cols = matrix.num_columns
-    prunes = {"gap": 0, "blocks": 0, "forced": 0, "symmetry": 0}
+    prunes = {"blocks": 0, "forced": 0, "symmetry": 0}
 
     # Rows with fewer than two ones never constrain an ordering; duplicates
     # add no information to the decision.
@@ -93,154 +97,131 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     k_eff = spec.block_limit(n_cols)
     d_eff = spec.gap_limit(n_cols)
     masks = [sum(1 << (c - 1) for c in row) for row in work_rows]
-    col_rows: list[tuple[int, ...]] = [()] * (n_cols + 1)
-    by_col: list[list[int]] = [[] for _ in range(n_cols + 1)]
+    col_rows: list[list[int]] = [[] for _ in range(n_cols + 1)]
     for ri, row in enumerate(work_rows):
         for c in row:
-            by_col[c].append(ri)
-    for c in range(n_cols + 1):
-        col_rows[c] = tuple(by_col[c])
+            col_rows[c].append(ri)
 
-    nrows = len(work_rows)
-    mode = [_FRESH] * nrows
-    blocks = [0] * nrows
-    gap = [0] * nrows
-    rem = [len(row) for row in work_rows]
-    row_unplaced = masks[:]
-    started: list[int] = []
-    placed: list[int] = []
-
-    all_mask = (1 << n_cols) - 1
-    unplaced_mask = all_mask
     bit_first = 1
     bit_last = 1 << (n_cols - 1)
     deadline = None if cfg.timeout_seconds is None else t0 + cfg.timeout_seconds
     node_limit = cfg.node_limit
     nodes = 0
 
-    def attempt(c: int):
-        """Place column c at the next position; None if pruned, else an undo log."""
-        nonlocal nodes, unplaced_mask
-        nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise _BudgetExceeded
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise _BudgetExceeded
+    def place(state: _State, c: int) -> _State | None:
+        """The state after placing column c next, or None if a row needs too many blocks."""
+        unplaced, active, prefix = state
         bit = 1 << (c - 1)
-        log = []
-        started_mark = len(started)
-        rule = None
+        unplaced ^= bit
+        child = {}
+        for r, (blocks, gap) in active.items():
+            if masks[r] & bit:
+                if gap:
+                    if blocks == k_eff:
+                        return None
+                    blocks += 1
+                if masks[r] & unplaced:
+                    child[r] = (blocks, 0)
+            elif gap:
+                child[r] = (blocks, gap + 1)
+            elif blocks == k_eff:
+                # The row still has ones to place, so this zero opens a real
+                # gap and commits the row to one more block.
+                return None
+            else:
+                child[r] = (blocks, 1)
         for r in col_rows[c]:
-            log.append((r, mode[r], blocks[r], gap[r], rem[r], row_unplaced[r]))
-            m = mode[r]
-            if m == _IN_GAP:
-                nb = blocks[r] + 1
-                if nb > k_eff:
-                    rule = "blocks"
-                    break
-                mode[r] = _IN_BLOCK
-                blocks[r] = nb
-                gap[r] = 0
-            elif m == _FRESH:
-                mode[r] = _IN_BLOCK
-                blocks[r] = 1
-                started.append(r)
-            rem[r] -= 1
-            row_unplaced[r] ^= bit
-        if rule is None:
-            for r in started:
-                if rem[r] == 0 or masks[r] & bit:
-                    continue
-                log.append((r, mode[r], blocks[r], gap[r], rem[r], row_unplaced[r]))
-                if mode[r] == _IN_BLOCK:
-                    # The row still has ones to place, so this zero opens a
-                    # real gap and commits the row to one more block.
-                    if blocks[r] == k_eff:
-                        rule = "blocks"
-                        break
-                    mode[r] = _IN_GAP
-                    gap[r] = 1
-                else:
-                    if gap[r] == d_eff:
-                        rule = "gap"
-                        break
-                    gap[r] += 1
-        if rule is not None:
-            for r, m, b, g, rm, up in reversed(log):
-                mode[r], blocks[r], gap[r], rem[r], row_unplaced[r] = m, b, g, rm, up
-            del started[started_mark:]
-            prunes[rule] += 1
-            return None
-        placed.append(c)
-        unplaced_mask ^= bit
-        return log, started_mark, bit
+            if r not in active:
+                child[r] = (1, 0)
+        return unplaced, child, (c, prefix)
 
-    def undo(entry) -> None:
-        nonlocal unplaced_mask
-        log, started_mark, bit = entry
-        for r, m, b, g, rm, up in reversed(log):
-            mode[r], blocks[r], gap[r], rem[r], row_unplaced[r] = m, b, g, rm, up
-        del started[started_mark:]
-        placed.pop()
-        unplaced_mask ^= bit
+    def columns(state: _State) -> tuple[list[int], int]:
+        """The columns to try next: a list popped from the end, then a mask.
 
-    def extend() -> bool:
-        if len(placed) == n_cols:
-            return True
-        cand_mask = unplaced_mask
-        for r in started:
-            # A row stuck at the gap bound must receive one of its own
-            # columns next, otherwise the gap overflows.
-            if rem[r] > 0 and mode[r] == _IN_GAP and gap[r] == d_eff:
-                cand_mask &= row_unplaced[r]
+        Columns that share a row with an active row are listed, least urgent
+        first; the others stay in the mask and are tried in column order, so
+        a frame holds O(active rows) candidates, not every unplaced column.
+        Both are empty if the state is pruned.
+        """
+        unplaced, active, _ = state
+        cand_mask = unplaced
+        touched = 0
+        for r, (_, gap) in active.items():
+            touched |= masks[r]
+            # A row at the gap bound must receive one of its own columns
+            # next, so no gap ever grows past the bound.
+            if gap == d_eff:
+                cand_mask &= masks[r]
                 if cand_mask == 0:
                     prunes["forced"] += 1
-                    return False
-        if cand_mask & bit_last and unplaced_mask & bit_first:
+                    return [], 0
+        if cand_mask & bit_last and unplaced & bit_first:
             # Only explore prefixes placing column 1 before column n_cols
             # (distinct columns: a work row has two ones); sound because
             # validity is invariant under reversal.
             cand_mask &= ~bit_last
             if cand_mask == 0:
                 prunes["symmetry"] += 1
-                return False
-        candidates = []
-        m = cand_mask
-        while m:
-            low = m & -m
-            candidates.append(low.bit_length())
-            m ^= low
-        if len(candidates) > 1:
-            def urgency(c: int) -> tuple[int, int]:
-                in_gap = active = 0
-                for r in col_rows[c]:
-                    if rem[r] > 0 and mode[r] != _FRESH:
-                        active += 1
-                        if mode[r] == _IN_GAP:
-                            in_gap += 1
-                return (-in_gap, -active)
+                return [], 0
 
-            candidates.sort(key=lambda c: (urgency(c), c))
-        for c in candidates:
-            entry = attempt(c)
-            if entry is None:
-                continue
-            if extend():
-                return True
-            undo(entry)
-        return False
+        def urgency(c: int) -> tuple[int, int, int]:
+            in_gap = started = 0
+            for r in col_rows[c]:
+                row = active.get(r)
+                if row is not None:
+                    started += 1
+                    if row[1]:
+                        in_gap += 1
+            return (-in_gap, -started, c)
 
-    try:
-        found = extend()
-    except _BudgetExceeded:
-        return SolveOutcome(TIMED_OUT, None, SearchStats(nodes, time.monotonic() - t0, prunes))
+        return sorted(_bits(cand_mask & touched), key=urgency, reverse=True), cand_mask & ~touched
+
+    root: _State = ((1 << n_cols) - 1, {}, None)
+    stack = [[root, *columns(root)]]
+    while stack:
+        frame = stack[-1]
+        state, listed, rest = frame
+        if listed:
+            c = listed.pop()
+        elif rest:
+            low = rest & -rest
+            frame[2] = rest ^ low
+            c = low.bit_length()
+        else:
+            stack.pop()
+            continue
+        nodes += 1
+        if (node_limit is not None and nodes > node_limit) or (
+            deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline
+        ):
+            return SolveOutcome(TIMED_OUT, None, SearchStats(nodes, time.monotonic() - t0, prunes))
+        child = place(state, c)
+        if child is None:
+            prunes["blocks"] += 1
+        elif not child[0]:
+            break
+        else:
+            stack.append([child, *columns(child)])
+    else:
+        return SolveOutcome(EXHAUSTED, None, SearchStats(nodes, time.monotonic() - t0, prunes))
     stats = SearchStats(nodes, time.monotonic() - t0, prunes)
-    if not found:
-        return SolveOutcome(EXHAUSTED, None, stats)
-    witness = ColumnOrdering(tuple(placed))
+    placed = []
+    prefix = child[2]
+    while prefix:
+        c, prefix = prefix
+        placed.append(c)
+    witness = ColumnOrdering(tuple(reversed(placed)))
     if not check_ordering(matrix, witness, spec).ok:
         raise RuntimeError("internal error: search produced an invalid witness")
     return SolveOutcome(SATISFIED, witness, stats)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The 1-based positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
 
 
 def brute_force(

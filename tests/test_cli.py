@@ -3,7 +3,15 @@ import json
 
 import pytest
 
-from gapc1p import GapSpec, check_ordering, parse_matrix, parse_ordering
+from gapc1p import (
+    Cnf,
+    GapSpec,
+    check_ordering,
+    parse_matrix,
+    parse_ordering,
+    reduce_theorem3,
+    serialize_matrix,
+)
 from gapc1p.cli import main
 
 TRIPLE_TEXT = "3 3\n1 2\n2 3\n1 3\n"
@@ -60,6 +68,20 @@ class TestSolve:
         undecided = main(["solve", "--matrix", str(all_pairs), "--k", "2", "--delta", "1",
                           "--nodes", "1"])
         assert exhausted == 1 and undecided == 2
+
+    def test_deep_path_is_satisfied(self, tmp_path):
+        # 1,200 columns is deeper than Python's recursion limit.
+        path = tmp_path / "path.txt"
+        path.write_text("1199 1200\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 1200)))
+        assert main(["solve", "--matrix", str(path), "--k", "2", "--delta", "1"]) == 0
+
+    def test_zero_timeout_gives_undecided_exit(self, tmp_path):
+        path = tmp_path / "refute_k3.txt"
+        cnf = Cnf(1, ((1, 1, 1), (-1, -1, -1)))
+        path.write_text(serialize_matrix(reduce_theorem3(cnf, 3).matrix))
+        code = main(["solve", "--matrix", str(path), "--k", "3", "--delta", "1",
+                     "--timeout", "0"])
+        assert code == 2
 
     def test_json_witness_reparses_as_ordering_file(self, chain, capsys, tmp_path):
         code = main(["solve", "--matrix", str(chain), "--k", "2", "--delta", "1", "--json"])
@@ -208,6 +230,9 @@ class TestVerify:
         assert payload["ok"] is True
         assert [c["id"] for c in payload["cases"]] == ["C1", "C2", "C3"]
         assert all(c["status"] == "pass" for c in payload["cases"])
+
+    def test_single_gadget_case_rejects_bad_k(self):
+        assert main(["verify", "--suite", "gadget", "--n", "5", "--delta", "1", "--k", "0"]) == 3
 
     def test_single_case_flags_require_gadget_suite(self):
         assert main(["verify", "--suite", "solver", "--n", "5", "--delta", "1"]) == 3

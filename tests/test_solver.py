@@ -9,18 +9,30 @@ from gapc1p import (
     SATISFIED,
     TIMED_OUT,
     BinaryMatrix,
+    Cnf,
     GapSpec,
     SearchConfig,
     brute_force,
     check_ordering,
     classic_c1p,
     decide,
+    reduce_theorem3,
 )
 from test_bitmatrix import random_matrix
 
 TRIPLE = BinaryMatrix(3, ((1, 2), (2, 3), (1, 3)))
 # Every pair of 5 columns: the search exhausts it at (2,1) in 17 nodes.
 ALL_PAIRS_5 = BinaryMatrix(5, tuple(itertools.combinations(range(1, 6), 2)))
+
+
+def path_matrix(n: int) -> BinaryMatrix:
+    """Rows {i, i+1}: trivially satisfiable; 1,200 columns exceed the recursion limit."""
+    return BinaryMatrix(n, tuple((i, i + 1) for i in range(1, n)))
+
+
+def refute_k3() -> BinaryMatrix:
+    """The Theorem-3 matrix of (x) and (not x) at k=3: unsatisfiable at (3,1)."""
+    return reduce_theorem3(Cnf(1, ((1, 1, 1), (-1, -1, -1))), 3).matrix
 
 
 class TestDecide:
@@ -51,6 +63,30 @@ class TestDecide:
         full = decide(ALL_PAIRS_5, GapSpec(2, 1))
         assert full.status == EXHAUSTED
         assert out.status != full.status
+
+    def test_timeout_reports_timed_out_at_the_first_deadline_check(self):
+        # The deadline is read every 1,024 nodes, so a zero timeout stops there.
+        out = decide(refute_k3(), GapSpec(3, 1), SearchConfig(timeout_seconds=0))
+        assert out.status == TIMED_OUT
+        assert out.witness is None
+        assert out.stats.nodes_expanded == 1024
+
+    def test_search_counts_are_pinned(self):
+        out = decide(refute_k3(), GapSpec(3, 1))
+        assert out.status == EXHAUSTED
+        assert out.stats.nodes_expanded == 78_763
+        assert out.stats.prunes == {"blocks": 11_966, "forced": 45_987, "symmetry": 0}
+        full = decide(ALL_PAIRS_5, GapSpec(2, 1))
+        assert full.status == EXHAUSTED
+        assert full.stats.nodes_expanded == 17
+
+    def test_deep_path_has_no_recursion_cliff(self):
+        for n in (1200, 5000):
+            m = path_matrix(n)
+            out = decide(m, GapSpec(2, 1))
+            assert out.status == SATISFIED
+            assert out.stats.nodes_expanded == n
+            assert check_ordering(m, out.witness, GapSpec(2, 1)).ok
 
     def test_determinism(self):
         rng = random.Random(33)
