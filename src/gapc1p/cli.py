@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--k", type=int, required=True)
     p_reduce.add_argument("--delta", type=int, default=None)
     p_reduce.add_argument("--variant", choices=(VARIANT_LITERAL, VARIANT_REPAIRED),
-                          default=VARIANT_REPAIRED)
+                          default=None, help=f"Theorem-2 family only (default {VARIANT_REPAIRED})")
     p_reduce.add_argument("--legend", default=None, metavar="PATH",
                           help="write a JSON column-role sidecar")
     p_reduce.add_argument("-o", "--output", default=None)
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--delta", type=int, default=None)
     p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--extra", type=int, default=0)
+    p_verify.add_argument("--extra", type=int, default=None)
 
     return parser
 
@@ -239,11 +239,13 @@ def _cmd_reduce(args) -> int:
     if args.theorem == 3:
         if args.delta is not None and args.delta != 1:
             raise _CliError("the block-count family is defined at delta = 1")
+        if args.variant is not None:
+            raise _CliError("--variant selects a Theorem-2 family; use --theorem 2")
         output = reduce_theorem3(cnf, args.k)
     else:
         if args.delta is None:
             raise _CliError("--theorem 2 requires --delta")
-        output = reduce_theorem2(cnf, args.k, args.delta, args.variant)
+        output = reduce_theorem2(cnf, args.k, args.delta, args.variant or VARIANT_REPAIRED)
     _write(args.output, serialize_matrix(output.matrix, SPARSE))
     if args.legend is not None:
         params = output.params
@@ -272,14 +274,15 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n is not None or args.k is not None or args.delta is not None:
+    if any(v is not None for v in (args.n, args.k, args.delta, args.extra)):
         if args.suite != "gadget":
-            raise _CliError("--n/--delta/--k select a single gadget case; use --suite gadget")
+            raise _CliError("--n/--delta/--k/--extra select a single gadget case; "
+                            "use --suite gadget")
         if args.n is None or args.delta is None:
             raise _CliError("a single gadget case needs both --n and --delta")
         k = 2 if args.k is None else args.k
         GapSpec(k, args.delta)  # a bad bound is a usage error, not a failed case
-        results = [run_single_rigidity(args.n, args.delta, k, args.extra)]
+        results = [run_single_rigidity(args.n, args.delta, k, args.extra or 0)]
     else:
         results = run_suite(args.suite, seed=args.seed, stretch=not args.no_stretch)
     if args.json:

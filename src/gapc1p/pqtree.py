@@ -1,251 +1,120 @@
-"""PQ-tree reduction for consecutive arrangement of column sets.
+"""Consecutive arrangement of column sets by overlap-component refinement.
 
-A PQ-tree represents a family of column orderings: children of a P-node may
-be permuted freely, children of a Q-node keep their order up to reversal.
-Reducing the tree by a row constrains the tree so the row's columns appear
-consecutively in every remaining frontier.  A matrix has the classical
-consecutive-ones property exactly when every row reduces successfully; the
-frontier of the final tree is then a witness ordering.
+Two rows overlap when they share a column and neither contains the other.
+The rows of one connected overlap component fix the order of their column
+classes (columns that lie in the same rows of the component) up to reversal
+(Fulkerson and Gross, "Incidence matrices and interval graphs", 1965).  A
+breadth-first search over overlaps adds each row next to a row already
+placed, so the row either fits the component's ordered class list, which it
+then refines, or proves that no ordering exists.  Component unions are
+nested or disjoint, and a component that lies inside another lies inside
+one of its classes, so the orderings nest into one.  Every pass is a loop;
+no input depth reaches the recursion limit.
 
-This is a straightforward quadratic implementation of the standard reduce
-templates, written for clarity over asymptotics: each reduction classifies
-every node as empty, full, or partial and rebuilds the pertinent subtree.
+The module keeps the name ``pqtree`` of the PQ-tree it replaced, because
+callers, including the benchmark harness, import it by that name.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import Iterable, Sequence
 
 
-class _Unsat(Exception):
-    """A reduce template failed: the rows are not consecutively arrangeable."""
+def _bits(mask: int) -> Iterator[int]:
+    """The 1-based positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
 
 
-class _Leaf:
-    __slots__ = ("col",)
+def _fit(classes: list[int], union: int, row: int) -> int | None:
+    """Refine the ordered classes by a row that overlaps one of their rows.
 
-    def __init__(self, col: int) -> None:
-        self.col = col
-
-
-class _P:
-    __slots__ = ("children",)
-
-    def __init__(self, children: list) -> None:
-        self.children = children
-
-
-class _Q:
-    __slots__ = ("children",)
-
-    def __init__(self, children: list) -> None:
-        self.children = children
-
-
-def _mk_p(children: list):
-    return children[0] if len(children) == 1 else _P(children)
-
-
-def _mk_q(children: list):
-    if len(children) == 1:
-        return children[0]
-    if len(children) == 2:
-        return _P(children)
-    return _Q(children)
-
-
-def _annotate(node, full_cols: frozenset, fc: dict, sz: dict) -> None:
-    if isinstance(node, _Leaf):
-        f = 1 if node.col in full_cols else 0
-        s = 1
-    else:
-        f = s = 0
-        for child in node.children:
-            _annotate(child, full_cols, fc, sz)
-            f += fc[id(child)]
-            s += sz[id(child)]
-    fc[id(node)] = f
-    sz[id(node)] = s
-
-
-class _Reducer:
-    def __init__(self, full_cols: frozenset, fc: dict, sz: dict) -> None:
-        self.full_cols = full_cols
-        self.fc = fc
-        self.sz = sz
-
-    def state(self, node) -> str:
-        f = self.fc[id(node)]
-        if f == 0:
-            return "E"
-        if f == self.sz[id(node)]:
-            return "F"
-        return "P"
-
-    # -- non-root templates ------------------------------------------------
-    # A partial node is rewritten into a flat sequence of (subtree, is_full)
-    # pairs, ordered with the empty side first.  The parent splices the
-    # sequence into a Q-node context.
-
-    def partial_seq(self, node) -> list:
-        if isinstance(node, _Leaf):
-            raise AssertionError("a leaf is never partial")
-        if isinstance(node, _P):
-            empties, fulls, partials = self._buckets(node)
-            if len(partials) > 1:
-                raise _Unsat
-            seq: list = []
-            if empties:
-                seq.append((_mk_p(empties), False))
-            if partials:
-                seq.extend(partials[0])
-            if fulls:
-                seq.append((_mk_p(fulls), True))
-            return seq
-        items = self._q_items(node)
-        line = self._fit_one_ended(items)
-        if line is None:
-            line = self._fit_one_ended(list(reversed(items)))
-        if line is None:
-            raise _Unsat
-        return line
-
-    def _buckets(self, node) -> tuple[list, list, list]:
-        empties, fulls, partials = [], [], []
-        for child in node.children:
-            st = self.state(child)
-            if st == "E":
-                empties.append(child)
-            elif st == "F":
-                fulls.append(child)
-            else:
-                partials.append(self.partial_seq(child))
-        return empties, fulls, partials
-
-    def _q_items(self, node) -> list:
-        items = []
-        for child in node.children:
-            st = self.state(child)
-            if st == "P":
-                items.append(("P", self.partial_seq(child)))
-            else:
-                items.append((st, child))
-        return items
-
-    @staticmethod
-    def _fit_one_ended(items) -> list | None:
-        """Arrange Q-children as empties, one junction splice, then fulls."""
-        out: list = []
-        in_full_part = False
-        for tag, val in items:
-            if tag == "E":
-                if in_full_part:
-                    return None
-                out.append((val, False))
-            elif tag == "F":
-                in_full_part = True
-                out.append((val, True))
-            else:
-                if in_full_part:
-                    return None
-                out.extend(val)
-                in_full_part = True
-        return out
-
-    # -- root templates ------------------------------------------------------
-
-    def reduce_root(self, node):
-        if self.state(node) == "F":
-            return node
-        if isinstance(node, _Leaf):
-            raise AssertionError("pertinent root cannot be a partial leaf")
-        if isinstance(node, _P):
-            empties, fulls, partials = self._buckets(node)
-            if len(partials) > 2:
-                raise _Unsat
-            if not partials:
-                return _mk_p(empties + [_mk_p(fulls)])
-            qnodes = [n for n, _ in partials[0]]
-            if fulls:
-                qnodes.append(_mk_p(fulls))
-            if len(partials) == 2:
-                qnodes.extend(n for n, _ in reversed(partials[1]))
-            qnode = _mk_q(qnodes)
-            if not empties:
-                return qnode
-            return _mk_p(empties + [qnode])
-        # Q root: the fulls must form one consecutive stretch, with at most
-        # one oriented partial splice at each boundary.
-        out: list = []
-        phase = 0  # 0 leading empties, 1 full stretch, 2 trailing empties
-        for tag, val in self._q_items(node):
-            if tag == "E":
-                if phase == 1:
-                    phase = 2
-                out.append((val, False))
-            elif tag == "F":
-                if phase == 2:
-                    raise _Unsat
-                phase = 1
-                out.append((val, True))
-            else:
-                if phase == 0:
-                    out.extend(val)
-                    phase = 1
-                elif phase == 1:
-                    out.extend(reversed(val))
-                    phase = 2
-                else:
-                    raise _Unsat
-        return _mk_q([n for n, _ in out])
-
-
-def _reduce(tree, row: frozenset):
-    fc: dict = {}
-    sz: dict = {}
-    _annotate(tree, row, fc, sz)
-    total = len(row)
-    # Descend to the deepest node containing every full leaf.
-    parent = None
-    index = -1
-    node = tree
-    while not isinstance(node, _Leaf):
-        descended = False
-        for i, child in enumerate(node.children):
-            if fc[id(child)] == total:
-                parent, index, node = node, i, child
-                descended = True
-                break
-        if not descended:
-            break
-    replacement = _Reducer(row, fc, sz).reduce_root(node)
-    if parent is None:
-        return replacement
-    parent.children[index] = replacement
-    return tree
-
-
-def _frontier(node, out: list) -> None:
-    if isinstance(node, _Leaf):
-        out.append(node.col)
-    else:
-        for child in node.children:
-            _frontier(child, out)
+    Returns the new union, or None if the row cannot be consecutive.
+    """
+    new = row & ~union
+    if new:
+        # New columns go past an end class the row touches; if it touches
+        # both, past the one it fills (it cannot fill both: a row that
+        # overlaps a placed row does not contain their union).
+        last = classes[-1]
+        if not last & row or (last & ~row and classes[0] & row):
+            classes.reverse()
+        classes.append(new)
+    hit = [i for i, x in enumerate(classes) if x & row]
+    lo, hi = hit[0], hit[-1]
+    if hi - lo + 1 != len(hit) or any(classes[i] & ~row for i in hit[1:-1]):
+        return None
+    # Split partial end classes so the row's part faces inward.
+    x = classes[hi]
+    if x & ~row:
+        classes[hi:hi + 1] = [x & row, x & ~row]
+    x = classes[lo]
+    if x & ~row:
+        classes[lo:lo + 1] = [x & ~row, x & row]
+    return union | row
 
 
 def consecutive_ordering(num_columns: int, rows: Iterable[Sequence[int]]) -> list[int] | None:
     """Order 1..num_columns so every row is consecutive, or None if impossible."""
-    if num_columns == 1:
-        return [1]
-    tree = _P([_Leaf(c) for c in range(1, num_columns + 1)])
+    by_mask: dict[int, tuple[int, ...]] = {}
     for row in rows:
-        cols = frozenset(row)
-        if len(cols) <= 1:
-            continue
-        try:
-            tree = _reduce(tree, cols)
-        except _Unsat:
-            return None
-    out: list[int] = []
-    _frontier(tree, out)
-    return out
+        cols = tuple(set(row))
+        if len(cols) >= 2:
+            by_mask.setdefault(sum(1 << (c - 1) for c in cols), cols)
+    work = sorted(by_mask.items(), key=lambda item: -len(item[1]))  # largest first
+    masks = [mask for mask, _ in work]
+    index = [0] * (num_columns + 1)  # column -> mask of the rows holding it
+    for r, (_, cols) in enumerate(work):
+        for c in cols:
+            index[c] |= 1 << r
+
+    comps: list[tuple[list[int], int, int]] = []  # (classes, union, rows)
+    unseen = (1 << len(masks)) - 1
+    while unseen:
+        first = (unseen & -unseen).bit_length() - 1
+        unseen ^= 1 << first
+        classes, union, queue = [masks[first]], masks[first], [first]
+        for r in queue:
+            meet, contain = 0, -1
+            for c in work[r][1]:
+                meet |= index[c]
+                contain &= index[c]
+            # Rows that meet r, do not contain it and are not inside it.
+            for j in _bits(meet & ~contain & unseen):
+                j -= 1
+                if masks[j] & ~masks[r]:
+                    union = _fit(classes, union, masks[j])
+                    if union is None:
+                        return None
+                    unseen ^= 1 << j
+                    queue.append(j)
+        comps.append((classes, union, len(queue)))
+
+    # Smallest union first; on a tie the single row equal to the union comes
+    # last, so it holds the other component.  The whole universe holds all.
+    comps.sort(key=lambda comp: (comp[1].bit_count(), -comp[2]))
+    everything = (1 << num_columns) - 1
+    comps.append(([everything], everything, 0))
+    tops = 0  # the first column of every component not yet placed inside another
+    holder: dict[int, int] = {}  # first column -> component
+    inside: dict[tuple[int, int], list[int]] = {}  # (component, class) -> components
+    for ci, (classes, union, _) in enumerate(comps):
+        for c in _bits(tops & union):
+            child = holder.pop(c)
+            i = next(i for i, x in enumerate(classes) if x >> (c - 1) & 1)
+            classes[i] &= ~comps[child][1]  # the child emits its own columns
+            inside.setdefault((ci, i), []).append(child)
+        tops = tops & ~union | union & -union
+        holder[(union & -union).bit_length()] = ci
+
+    order: list[int] = []
+    stack = [(len(comps) - 1, 0)]
+    while stack:
+        ci, i = stack.pop()
+        order.extend(_bits(comps[ci][0][i]))
+        for child in inside.get((ci, i), ()):
+            stack.extend((child, j) for j in reversed(range(len(comps[child][0]))))
+    return order

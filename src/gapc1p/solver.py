@@ -12,19 +12,18 @@ over an explicit stack of immutable states, so depth is not limited by the
 recursion limit.
 
 ``brute_force`` enumerates every permutation and is the ground-truth oracle
-for small universes.  ``classic_c1p`` is the polynomial special case
-(one block, no gaps), backed by a PQ-tree; ``decide`` routes every spec that
-collapses to it there.
+for small universes.  ``classic_c1p`` is the special case with one block
+and no gaps, decided in polynomial time by overlap-component refinement;
+``decide`` routes every spec that collapses to it there.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, valid_forward_maps
-from .pqtree import consecutive_ordering
+from .pqtree import _bits, consecutive_ordering
 
 SATISFIED = "satisfied"
 EXHAUSTED = "exhausted"
@@ -69,8 +68,8 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     Returns SATISFIED with a witness, EXHAUSTED when the complete search
     proves none exists, or TIMED_OUT when a configured limit was hit.
     A spec with ``k == 1`` or ``delta == 0`` allows no gap at all, so it is
-    the classical property and goes to the PQ-tree with no search and no
-    limits.
+    the classical property and goes to ``classic_c1p`` with no search and
+    no limits.
     """
     t0 = time.monotonic()
     if spec.k == 1 or spec.delta == 0:
@@ -216,14 +215,6 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     return SolveOutcome(SATISFIED, witness, stats)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The 1-based positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
-
-
 def brute_force(
     matrix: BinaryMatrix,
     spec: GapSpec,
@@ -253,11 +244,10 @@ def classic_c1p(matrix: BinaryMatrix) -> ColumnOrdering | None:
     Returns an ordering under which every row is a single block, or None
     when no such ordering exists.
     """
-    rows = sorted({row for row in matrix.rows if len(row) >= 2})
-    forward = consecutive_ordering(matrix.num_columns, rows)
+    forward = consecutive_ordering(matrix.num_columns, matrix.rows)
     if forward is None:
         return None
     ordering = ColumnOrdering(tuple(forward))
     if not check_ordering(matrix, ordering, GapSpec(1, 0)).ok:
-        raise RuntimeError("internal error: PQ-tree frontier fails verification")
+        raise RuntimeError("internal error: consecutive ordering fails verification")
     return ordering

@@ -75,6 +75,13 @@ class TestSolve:
         path.write_text("1199 1200\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 1200)))
         assert main(["solve", "--matrix", str(path), "--k", "2", "--delta", "1"]) == 0
 
+    def test_nested_prefixes_are_classic_c1p(self, tmp_path):
+        # 1,200 nested rows {1..i+1} are C1P; they once overflowed a recursive walk.
+        path = tmp_path / "nested.txt"
+        rows = [range(1, i + 2) for i in range(1, 1201)]
+        path.write_text("1200 1201\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+        assert main(["solve", "--matrix", str(path), "--k", "1", "--delta", "0"]) == 0
+
     def test_zero_timeout_gives_undecided_exit(self, tmp_path):
         path = tmp_path / "refute_k3.txt"
         cnf = Cnf(1, ((1, 1, 1), (-1, -1, -1)))
@@ -205,6 +212,16 @@ class TestReduce:
         assert repaired.num_columns == 14
         assert literal.num_columns == 12
 
+    def test_variant_is_a_theorem2_option(self, tmp_path):
+        cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
+        assert main(["reduce", "--cnf", str(cnf), "--theorem", "3", "--k", "3",
+                     "--variant", "literal"]) == 3
+        legend = tmp_path / "legend.json"
+        assert main(["reduce", "--cnf", str(cnf), "--theorem", "2", "--k", "2",
+                     "--delta", "2", "-o", str(tmp_path / "m.txt"),
+                     "--legend", str(legend)]) == 0
+        assert json.loads(legend.read_text())["variant"] == "repaired"
+
     def test_theorem2_requires_delta(self, tmp_path):
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
         assert main(["reduce", "--cnf", str(cnf), "--theorem", "2", "--k", "2"]) == 3
@@ -236,6 +253,12 @@ class TestVerify:
 
     def test_single_case_flags_require_gadget_suite(self):
         assert main(["verify", "--suite", "solver", "--n", "5", "--delta", "1"]) == 3
+
+    def test_extra_selects_a_single_case(self, capsys):
+        assert main(["verify", "--suite", "gadget", "--extra", "3"]) == 3
+        assert main(["verify", "--suite", "gadget", "--n", "5", "--delta", "1",
+                     "--extra", "1"]) == 0
+        assert "extra=1" in capsys.readouterr().out
 
 
 class TestUsage:

@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapc1p import (
     EXHAUSTED,
@@ -18,6 +20,7 @@ from gapc1p import (
     decide,
     reduce_theorem3,
 )
+from gapc1p.pqtree import _fit
 from test_bitmatrix import random_matrix
 
 TRIPLE = BinaryMatrix(3, ((1, 2), (2, 3), (1, 3)))
@@ -28,6 +31,13 @@ ALL_PAIRS_5 = BinaryMatrix(5, tuple(itertools.combinations(range(1, 6), 2)))
 def path_matrix(n: int) -> BinaryMatrix:
     """Rows {i, i+1}: trivially satisfiable; 1,200 columns exceed the recursion limit."""
     return BinaryMatrix(n, tuple((i, i + 1) for i in range(1, n)))
+
+
+def nested_prefixes(count: int) -> list[list[int]]:
+    """Rows {1..i+1} for i = 1..count, shuffled: C1P, and nested count deep."""
+    rows = [list(range(1, i + 2)) for i in range(1, count + 1)]
+    random.Random(0).shuffle(rows)
+    return rows
 
 
 def refute_k3() -> BinaryMatrix:
@@ -102,9 +112,9 @@ class TestDecide:
         assert decide(m, GapSpec(None, 0)).status == SATISFIED
         assert decide(m, GapSpec(1, None)).status == SATISFIED
 
-    def test_classic_specs_take_the_pq_tree(self):
+    def test_classic_specs_skip_the_search(self):
         # A shuffled 400-column interval matrix: exponential for the search,
-        # a fraction of a second for the PQ-tree.
+        # a fraction of a second for the polynomial classical test.
         rng = random.Random(36)
         n = 400
         hidden = list(range(1, n + 1))
@@ -238,3 +248,49 @@ class TestClassicC1P:
         # Overlapping chain plus a row hitting both ends forces rejection.
         m = BinaryMatrix(4, ((1, 2), (2, 3), (3, 4), (1, 4), (1, 3)))
         assert classic_c1p(m) is None
+
+    def test_new_columns_extend_the_end_the_row_fills(self):
+        # Classes {1,2} {3} {4..10}: the row {1,2,3,4,11} fills {1,2} and
+        # only part of {4..10}, so 11 goes past {1,2} and 4 faces inward.
+        def mask(cols):
+            return sum(1 << (c - 1) for c in cols)
+
+        classes = [mask({1, 2}), mask({3}), mask(range(4, 11))]
+        assert _fit(classes, mask(range(1, 11)), mask({1, 2, 3, 4, 11})) == mask(range(1, 12))
+        assert classes == [mask(range(5, 11)), mask({4}), mask({3}), mask({1, 2}), mask({11})]
+
+    def test_nested_prefixes_have_no_recursion_cliff(self):
+        # 1,200 nested rows, and the same prefixes plus {2..1201}, which
+        # overlaps all but the largest; both once overflowed a recursive walk.
+        for rows in (nested_prefixes(1200), nested_prefixes(1200) + [list(range(2, 1202))]):
+            m = BinaryMatrix.from_rows(1201, rows)
+            ordering = classic_c1p(m)
+            assert ordering is not None
+            assert check_ordering(m, ordering, GapSpec(1, 0)).ok
+
+
+@st.composite
+def small_matrices(draw) -> BinaryMatrix:
+    """At most 7 columns; rows are intervals of a hidden order, prefixes of it, or any subsets."""
+    n = draw(st.integers(1, 7))
+    hidden = draw(st.permutations(range(1, n + 1)))
+    rows = []
+    for _ in range(draw(st.integers(0, 2 * n))):
+        kind = draw(st.sampled_from(("interval", "prefix", "subset")))
+        if kind == "interval":
+            a = draw(st.integers(0, n - 1))
+            rows.append(hidden[a:draw(st.integers(a + 1, n))])
+        elif kind == "prefix":
+            rows.append(hidden[:draw(st.integers(1, n))])
+        else:
+            rows.append(draw(st.sets(st.integers(1, n), min_size=min(n, 2))))
+    return BinaryMatrix.from_rows(n, rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(small_matrices())
+def test_classic_c1p_agrees_with_brute_force(m):
+    ordering = classic_c1p(m)
+    assert (ordering is not None) == (brute_force(m, GapSpec(1, 0)).valid_count > 0)
+    if ordering is not None:
+        assert check_ordering(m, ordering, GapSpec(1, 0)).ok
