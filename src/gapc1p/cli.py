@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -185,13 +186,19 @@ def _outcome_exit(status: str) -> int:
 
 
 def _cmd_solve(args) -> int:
+    limits = [v for v in (args.timeout, args.nodes) if v is not None]
+    if not all(v >= 0 for v in limits):
+        raise _CliError("--timeout and --nodes must be >= 0")
+    if args.brute_force and limits:
+        raise _CliError("--brute-force enumerates every ordering; omit --timeout and --nodes")
     matrix = parse_matrix(_read(args.matrix))
     spec = GapSpec(args.k, args.delta)
     if args.brute_force:
+        t0 = time.monotonic()
         report = brute_force(matrix, spec)
         witness = report.witnesses[0] if report.witnesses else None
         status = SATISFIED if report.valid_count else EXHAUSTED
-        outcome = SolveOutcome(status, witness, SearchStats(0, 0.0, {}))
+        outcome = SolveOutcome(status, witness, SearchStats(0, time.monotonic() - t0, {}))
     else:
         config = SearchConfig(timeout_seconds=args.timeout, node_limit=args.nodes)
         outcome = decide(matrix, spec, config)

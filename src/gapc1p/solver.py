@@ -1,15 +1,16 @@
 """Exact decision procedures for gapped consecutive-ones orderings.
 
 ``decide`` is a complete search that places columns left to right.  A
-search state is the unplaced-column mask, the placed prefix, and the active
-rows, those with ones on both sides of the prefix boundary, each with its
-block count and open gap length.  Placing a column is refused exactly when
-some row would need one block more than allowed.  The gap bound is enforced
-by forcing: a row whose gap has reached the bound must receive one of its
-own columns next.  Both rules follow from the state definition, so an
-exhausted search is a proof that no ordering exists.  The search is one loop
-over an explicit stack of immutable states, so depth is not limited by the
-recursion limit.
+search state is the unplaced-column mask, the placed prefix, and the rows'
+block count, open gap length and placed ones, each packed as one W-bit
+field per row into one integer, with offsets that set a field's top bit at
+its limit; placing a column is then a fixed number of integer operations.
+Placing a column is refused exactly when some row would need one block
+more than allowed.  The gap bound is enforced by forcing: a row whose gap
+has reached the bound must receive one of its own columns next.  Both rules
+follow from the state definition, so an exhausted search is a proof that no
+ordering exists.  The search is one loop over an explicit stack of
+immutable states, so depth is not limited by the recursion limit.
 
 ``brute_force`` enumerates every permutation and is the ground-truth oracle
 for small universes.  ``classic_c1p`` is the special case with one block
@@ -23,17 +24,23 @@ import time
 from dataclasses import dataclass, field
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, valid_forward_maps
-from .pqtree import _bits, consecutive_ordering
+from .pqtree import consecutive_ordering
 
 SATISFIED = "satisfied"
 EXHAUSTED = "exhausted"
 TIMED_OUT = "timed_out"
 
-# A search state: the unplaced-column mask; the active rows (ones on both
-# sides of the prefix boundary) in start order, each mapped to its blocks so
-# far and its open gap length (0 inside a block); and the placed prefix as a
-# linked list (last column, rest of prefix), None when empty.
-_State = tuple[int, dict[int, tuple[int, int]], tuple | None]
+# A search state: the unplaced-column mask; `touched`, the unplaced columns
+# sharing a row with an active row; `allowed`, the candidates the forced rule
+# leaves; five packed row integers; and the placed prefix as a linked list
+# (last column, rest), None when empty.  Row r owns the W-bit field at bit
+# W*r of each packed integer.  `active` (ones on both sides of the prefix
+# boundary) and `gap` (active, in a gap) are low-bit flags.  The counters
+# `blocks`, `gaps` (open gap length) and `placed` (placed ones) start at
+# top - k_eff, top - d_eff and top - len(row), top = 1 << (W-1), so a top bit
+# is set exactly at the limit.  No field carries into its neighbour: the
+# blocks prune, the forced rule and placing each column once stop them there.
+_State = tuple[int, int, int, int, int, int, int, int, tuple | None]
 
 
 @dataclass
@@ -93,13 +100,28 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             SearchStats(0, time.monotonic() - t0, prunes),
         )
 
-    k_eff = spec.block_limit(n_cols)
+    longest = max(len(row) for row in work_rows)
+    # An active row has fewer blocks than ones, so a bound above the longest
+    # row never binds; clamping keeps the block offset positive.
+    k_eff = min(spec.block_limit(n_cols), longest)
     d_eff = spec.gap_limit(n_cols)
+    width = max(d_eff, longest).bit_length() + 1
+    shift = width - 1
+    top = 1 << shift
+    lows = sum(1 << (width * r) for r in range(len(work_rows)))
+    tops = lows << shift
     masks = [sum(1 << (c - 1) for c in row) for row in work_rows]
-    col_rows: list[list[int]] = [[] for _ in range(n_cols + 1)]
+    # Per column: its bit, the low bits of its rows, the columns sharing a
+    # row with it, and the gap-field mask and base that reset its rows.
+    col_rows = [0] * (n_cols + 1)
+    near = [0] * (n_cols + 1)
     for ri, row in enumerate(work_rows):
         for c in row:
-            col_rows[c].append(ri)
+            col_rows[c] |= 1 << (width * ri)
+            near[c] |= masks[ri]
+    col_ops = [(1 << c >> 1, rows, near[c], ~(rows * ((1 << width) - 1)), rows * (top - d_eff))
+               for c, rows in enumerate(col_rows)]
+    bound_mask = {1 << (width * ri + shift): mask for ri, mask in enumerate(masks)}
 
     bit_first = 1
     bit_last = 1 << (n_cols - 1)
@@ -109,30 +131,28 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
 
     def place(state: _State, c: int) -> _State | None:
         """The state after placing column c next, or None if a row needs too many blocks."""
-        unplaced, active, prefix = state
-        bit = 1 << (c - 1)
+        unplaced, touched, _, active, gap, blocks, gaps, placed, prefix = state
+        bit, rows, reach, keep, base = col_ops[c]
+        # An active row at the block limit fails if c ends its gap, or if c
+        # opens a gap in it while it still has ones to place.
+        if ((blocks & tops) >> shift) & active & ~(gap ^ rows):
+            return None
         unplaced ^= bit
-        child = {}
-        for r, (blocks, gap) in active.items():
-            if masks[r] & bit:
-                if gap:
-                    if blocks == k_eff:
-                        return None
-                    blocks += 1
-                if masks[r] & unplaced:
-                    child[r] = (blocks, 0)
-            elif gap:
-                child[r] = (blocks, gap + 1)
-            elif blocks == k_eff:
-                # The row still has ones to place, so this zero opens a real
-                # gap and commits the row to one more block.
-                return None
-            else:
-                child[r] = (blocks, 1)
-        for r in col_rows[c]:
-            if r not in active:
-                child[r] = (1, 0)
-        return unplaced, child, (c, prefix)
+        blocks += rows & ~(active ^ gap)
+        placed += rows
+        gap = active & ~rows
+        active = (active | rows) & ~((placed & tops) >> shift)
+        gaps = (gaps & keep | base) + gap
+        # A row at the gap bound must receive one of its own columns next,
+        # so no gap ever grows past the bound.
+        allowed = unplaced
+        bound = gaps & tops
+        while bound and allowed:
+            low = bound & -bound
+            allowed &= bound_mask[low]
+            bound ^= low
+        touched = (touched | reach) & unplaced
+        return unplaced, touched, allowed, active, gap, blocks, gaps, placed, (c, prefix)
 
     def columns(state: _State) -> tuple[list[int], int]:
         """The columns to try next: a list popped from the end, then a mask.
@@ -142,40 +162,28 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         a frame holds O(active rows) candidates, not every unplaced column.
         Both are empty if the state is pruned.
         """
-        unplaced, active, _ = state
-        cand_mask = unplaced
-        touched = 0
-        for r, (_, gap) in active.items():
-            touched |= masks[r]
-            # A row at the gap bound must receive one of its own columns
-            # next, so no gap ever grows past the bound.
-            if gap == d_eff:
-                cand_mask &= masks[r]
-                if cand_mask == 0:
-                    prunes["forced"] += 1
-                    return [], 0
-        if cand_mask & bit_last and unplaced & bit_first:
+        unplaced, touched, allowed, active, gap = state[:5]
+        if allowed & bit_last and unplaced & bit_first:
             # Only explore prefixes placing column 1 before column n_cols
             # (distinct columns: a work row has two ones); sound because
             # validity is invariant under reversal.
-            cand_mask &= ~bit_last
-            if cand_mask == 0:
+            allowed ^= bit_last
+            if allowed == 0:
                 prunes["symmetry"] += 1
                 return [], 0
+        # Most urgent: in most rows in a gap, then most active rows, then lowest.
+        keys = []
+        listed = allowed & touched
+        while listed:
+            c = (listed & -listed).bit_length()
+            listed ^= 1 << (c - 1)
+            keys.append(((col_rows[c] & gap).bit_count(), (col_rows[c] & active).bit_count(), -c))
+        keys.sort()
+        return [-key[2] for key in keys], allowed & ~touched
 
-        def urgency(c: int) -> tuple[int, int, int]:
-            in_gap = started = 0
-            for r in col_rows[c]:
-                row = active.get(r)
-                if row is not None:
-                    started += 1
-                    if row[1]:
-                        in_gap += 1
-            return (-in_gap, -started, c)
-
-        return sorted(_bits(cand_mask & touched), key=urgency, reverse=True), cand_mask & ~touched
-
-    root: _State = ((1 << n_cols) - 1, {}, None)
+    full = (1 << n_cols) - 1
+    to_place = sum((top - len(row)) << (width * ri) for ri, row in enumerate(work_rows))
+    root: _State = (full, 0, full, 0, 0, lows * (top - k_eff), lows * (top - d_eff), to_place, None)
     stack = [[root, *columns(root)]]
     while stack:
         frame = stack[-1]
@@ -199,13 +207,15 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             prunes["blocks"] += 1
         elif not child[0]:
             break
+        elif not child[2]:
+            prunes["forced"] += 1
         else:
             stack.append([child, *columns(child)])
     else:
         return SolveOutcome(EXHAUSTED, None, SearchStats(nodes, time.monotonic() - t0, prunes))
     stats = SearchStats(nodes, time.monotonic() - t0, prunes)
     placed = []
-    prefix = child[2]
+    prefix = child[-1]
     while prefix:
         c, prefix = prefix
         placed.append(c)

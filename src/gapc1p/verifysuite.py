@@ -194,10 +194,10 @@ def case_theorem2_stretch() -> CaseResult:
         rep = verify_reduction(Cnf(1, ((1, 1, 1), (-1, -1, -1))), 2, 2, 2)
         assert rep.agree and not rep.formula_satisfiable, f"{rep}"
         assert rep.matrix_decision == "exhausted"
-        return (
-            "19-column companion exhausted in "
-            f"{rep.outcome.stats.nodes_expanded} nodes"
-        )
+        stats = rep.outcome.stats
+        assert stats.nodes_expanded == 5_392_608, stats
+        assert stats.prunes == {"blocks": 3_121_484, "forced": 1_512_318, "symmetry": 0}, stats
+        return f"19-column companion exhausted in {stats.nodes_expanded} nodes"
 
     return _run_case("C7S", "gapped reduction, unsatisfiable companion (stretch)", 3600.0, body)
 

@@ -60,7 +60,7 @@ def test_criterion_7_theorem2_reduction_satisfiable():
 
 
 def test_criterion_7_stretch_theorem2_unsatisfiable_companion():
-    # Within budget on this solver (about half a minute), so it runs by default;
+    # Within budget on this solver (about 15 s), so it runs by default;
     # deselect with `-k "not stretch"` for quick passes.
     report(case_theorem2_stretch())
 

@@ -109,6 +109,25 @@ class TestSolve:
                      "--brute-force", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["stats"]["prunes"] == {}
 
+    def test_brute_force_reports_its_time(self, all_pairs, capsys):
+        assert main(["solve", "--matrix", str(all_pairs), "--k", "2", "--delta", "1",
+                     "--brute-force", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["stats"]["elapsed_seconds"] > 0
+
+    def test_brute_force_takes_no_search_limits(self, triple):
+        for limit in (["--nodes", "1"], ["--timeout", "0"]):
+            assert main(["solve", "--matrix", str(triple), "--k", "2", "--delta", "1",
+                         "--brute-force", *limit]) == 3
+
+    def test_negative_limits_are_usage_errors(self, triple):
+        # The deadline is read only every 1,024 nodes, so a negative timeout
+        # would not stop a small search; zero keeps its meaning.
+        base = ["solve", "--matrix", str(triple), "--k", "2", "--delta", "1"]
+        assert main([*base, "--nodes", "-1"]) == 3
+        assert main([*base, "--timeout", "-5"]) == 3
+        assert main([*base, "--timeout", "nan"]) == 3
+        assert main([*base, "--nodes", "0"]) == 2
+
     def test_internal_error_is_not_a_verdict(self, triple, monkeypatch, capsys):
         def crash(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +41,9 @@ def nested_prefixes(count: int) -> list[list[int]]:
     return rows
 
 
-def refute_k3() -> BinaryMatrix:
-    """The Theorem-3 matrix of (x) and (not x) at k=3: unsatisfiable at (3,1)."""
-    return reduce_theorem3(Cnf(1, ((1, 1, 1), (-1, -1, -1))), 3).matrix
+def refute(k: int = 3) -> BinaryMatrix:
+    """The Theorem-3 matrix of (x) and (not x): unsatisfiable at (k,1)."""
+    return reduce_theorem3(Cnf(1, ((1, 1, 1), (-1, -1, -1))), k).matrix
 
 
 class TestDecide:
@@ -76,19 +77,40 @@ class TestDecide:
 
     def test_timeout_reports_timed_out_at_the_first_deadline_check(self):
         # The deadline is read every 1,024 nodes, so a zero timeout stops there.
-        out = decide(refute_k3(), GapSpec(3, 1), SearchConfig(timeout_seconds=0))
+        out = decide(refute(), GapSpec(3, 1), SearchConfig(timeout_seconds=0))
         assert out.status == TIMED_OUT
         assert out.witness is None
         assert out.stats.nodes_expanded == 1024
 
     def test_search_counts_are_pinned(self):
-        out = decide(refute_k3(), GapSpec(3, 1))
+        out = decide(refute(3), GapSpec(3, 1))
         assert out.status == EXHAUSTED
         assert out.stats.nodes_expanded == 78_763
         assert out.stats.prunes == {"blocks": 11_966, "forced": 45_987, "symmetry": 0}
+        out = decide(refute(8), GapSpec(8, 1))
+        assert out.status == EXHAUSTED
+        assert out.stats.nodes_expanded == 309_941
+        assert out.stats.prunes == {"blocks": 3_958, "forced": 234_584, "symmetry": 0}
         full = decide(ALL_PAIRS_5, GapSpec(2, 1))
         assert full.status == EXHAUSTED
         assert full.stats.nodes_expanded == 17
+
+    def test_search_counts_are_pinned_on_a_seeded_corpus(self):
+        # Exhausted, satisfied and node-budget cases; (20,1) bounds blocks
+        # beyond the longest row and (2,inf) leaves gaps unbounded.
+        specs = [GapSpec(2, 1), GapSpec(3, 1), GapSpec(2, 2), GapSpec(3, 2), GapSpec(None, 1),
+                 GapSpec(2, None), GapSpec(20, 1)]
+        rng = random.Random(37)
+        statuses, prunes, nodes = Counter(), Counter(), 0
+        for i in range(300):
+            m = random_matrix(rng, max_cols=12, max_rows=12)
+            out = decide(m, specs[i % len(specs)], SearchConfig(node_limit=None if i % 3 else 300))
+            statuses[out.status] += 1
+            prunes.update(out.stats.prunes)
+            nodes += out.stats.nodes_expanded
+        assert statuses == {SATISFIED: 261, EXHAUSTED: 25, TIMED_OUT: 14}
+        assert nodes == 271_504
+        assert prunes == {"blocks": 210_210, "forced": 8_345, "symmetry": 420}
 
     def test_deep_path_has_no_recursion_cliff(self):
         for n in (1200, 5000):
@@ -287,6 +309,10 @@ def small_matrices(draw) -> BinaryMatrix:
     return BinaryMatrix.from_rows(n, rows)
 
 
+GAPPED_SPECS = [GapSpec(2, 1), GapSpec(3, 1), GapSpec(2, 2), GapSpec(3, 2), GapSpec(None, 1),
+                GapSpec(2, None)]
+
+
 @settings(derandomize=True, deadline=None, max_examples=500)
 @given(small_matrices())
 def test_classic_c1p_agrees_with_brute_force(m):
@@ -294,3 +320,23 @@ def test_classic_c1p_agrees_with_brute_force(m):
     assert (ordering is not None) == (brute_force(m, GapSpec(1, 0)).valid_count > 0)
     if ordering is not None:
         assert check_ordering(m, ordering, GapSpec(1, 0)).ok
+
+
+@st.composite
+def crowded_matrices(draw) -> BinaryMatrix:
+    """At most 7 columns and n to 3n rows of 2 to 4 ones: many refute a gapped spec."""
+    n = draw(st.integers(1, 7))
+    row = st.sets(st.integers(1, n), min_size=min(n, 2), max_size=4)
+    return BinaryMatrix.from_rows(n, draw(st.lists(row, min_size=n, max_size=3 * n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(crowded_matrices(), st.sampled_from(["beyond", *GAPPED_SPECS]))
+def test_decide_agrees_with_brute_force(m, spec):
+    if spec == "beyond":
+        # A block bound above the longest row never binds; the search clamps it.
+        spec = GapSpec(max(map(len, m.rows), default=0) + 30, 1)
+    out = decide(m, spec)
+    assert (out.status == SATISFIED) == (brute_force(m, spec).valid_count > 0)
+    if out.status == SATISFIED:
+        assert check_ordering(m, out.witness, spec).ok
