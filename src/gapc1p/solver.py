@@ -7,9 +7,13 @@ field per row into one integer, with offsets that set a field's top bit at
 its limit; placing a column is then a fixed number of integer operations.
 Placing a column is refused exactly when some row would need one block
 more than allowed.  The gap bound is enforced by forcing: a row whose gap
-has reached the bound must receive one of its own columns next.  Both rules
-follow from the state definition, so an exhausted search is a proof that no
-ordering exists.  The search is one loop over an explicit stack of
+has reached the bound must receive one of its own columns next.  With a
+finite gap bound, each active row's last one must land within its slack,
+``rem + min(k - blocks, rem) * delta - gap`` slots, and a child is pruned
+when the unplaced columns of the rows with slack at most s number more than
+s for some s (Hall's condition for unit jobs with deadlines, Jackson 1955).
+All three rules are necessary conditions, so an exhausted search is a proof
+that no ordering exists.  The search is one loop over an explicit stack of
 immutable states, so depth is not limited by the recursion limit.
 
 ``brute_force`` enumerates every permutation and is the ground-truth oracle
@@ -39,7 +43,9 @@ TIMED_OUT = "timed_out"
 # `blocks`, `gaps` (open gap length) and `placed` (placed ones) start at
 # top - k_eff, top - d_eff and top - len(row), top = 1 << (W-1), so a top bit
 # is set exactly at the limit.  No field carries into its neighbour: the
-# blocks prune, the forced rule and placing each column once stop them there.
+# blocks prune, the forced rule and placing each column once stop them there,
+# and gaps are not counted when delta is unbounded.  W also holds a row's
+# slack, at most longest * (d_eff + 1), below the top bit.
 _State = tuple[int, int, int, int, int, int, int, int, tuple | None]
 
 
@@ -88,7 +94,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         )
     cfg = config or SearchConfig()
     n_cols = matrix.num_columns
-    prunes = {"blocks": 0, "forced": 0, "symmetry": 0}
+    prunes = {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 0}
 
     # Rows with fewer than two ones never constrain an ordering; duplicates
     # add no information to the decision.
@@ -104,22 +110,31 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     # An active row has fewer blocks than ones, so a bound above the longest
     # row never binds; clamping keeps the block offset positive.
     k_eff = min(spec.block_limit(n_cols), longest)
-    d_eff = spec.gap_limit(n_cols)
-    width = max(d_eff, longest).bit_length() + 1
+    # No gap is longer than n_cols.  With delta = inf no gap bound binds, so
+    # gaps are not counted and the deadline rule is off.
+    finite = spec.delta is not None
+    d_eff = min(spec.delta, n_cols) if finite else 0
+    width = (longest * (d_eff + 1)).bit_length() + 1
     shift = width - 1
     top = 1 << shift
+    ones = (1 << width) - 1
     lows = sum(1 << (width * r) for r in range(len(work_rows)))
     tops = lows << shift
+    no_gap = lows * (top - d_eff) if finite else 0
     masks = [sum(1 << (c - 1) for c in row) for row in work_rows]
     # Per column: its bit, the low bits of its rows, the columns sharing a
-    # row with it, and the gap-field mask and base that reset its rows.
+    # row with it, and the gap-field mask and base that reset its rows; and
+    # the (slack + 1, other columns) of the rows it starts when it is free.
     col_rows = [0] * (n_cols + 1)
     near = [0] * (n_cols + 1)
+    fresh: list[list[tuple[int, int]]] = [[] for _ in range(n_cols + 1)]
     for ri, row in enumerate(work_rows):
+        rem = len(row) - 1
         for c in row:
             col_rows[c] |= 1 << (width * ri)
             near[c] |= masks[ri]
-    col_ops = [(1 << c >> 1, rows, near[c], ~(rows * ((1 << width) - 1)), rows * (top - d_eff))
+            fresh[c].append((rem + min(k_eff - 1, rem) * d_eff + 1, masks[ri] ^ 1 << (c - 1)))
+    col_ops = [(1 << c >> 1, rows, near[c], ~(rows * ones), rows * (top - d_eff))
                for c, rows in enumerate(col_rows)]
     bound_mask = {1 << (width * ri + shift): mask for ri, mask in enumerate(masks)}
 
@@ -142,7 +157,8 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         placed += rows
         gap = active & ~rows
         active = (active | rows) & ~((placed & tops) >> shift)
-        gaps = (gaps & keep | base) + gap
+        if finite:
+            gaps = (gaps & keep | base) + gap
         # A row at the gap bound must receive one of its own columns next,
         # so no gap ever grows past the bound.
         allowed = unplaced
@@ -181,13 +197,65 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         keys.sort()
         return [-key[2] for key in keys], allowed & ~touched
 
+    def hall(state: _State) -> tuple[list[tuple[int, int]], int] | None:
+        """Hall's condition on the active rows' deadlines.
+
+        None if the unplaced columns of the rows with slack at most s number
+        more than s for some s.  Otherwise the rows that can bind (slack at
+        most the number of columns the active rows hold), sorted by slack,
+        and the smallest tight union: a child placing a column outside it is
+        dead, since those rows each lose a slot and keep all their columns.
+        """
+        unplaced, touched, _, active, _, blocks, gaps, placed, _ = state
+        rem = tops - placed
+        left = tops - blocks
+        # At most min(left, rem) more gaps of at most delta each; `pick`
+        # selects the fields where rem <= left.
+        pick = ((((left | tops) - rem) & tops) >> shift) * ones
+        slack = rem + ((rem & pick) | (left & ~pick)) * d_eff - (gaps - no_gap)
+        bits = active & ~(((slack | tops) - lows * min(touched.bit_count() + 1, top)) >> shift)
+        due = []
+        while bits:
+            at = bits.bit_length() - 1
+            bits ^= 1 << at
+            due.append((slack >> at & ones, masks[at // width] & unplaced))
+        due.sort()
+        union, must = 0, -1
+        for s, cols in due:
+            union |= cols
+            held = union.bit_count()
+            if held > s:
+                return None
+            if held == s and must == -1:
+                must = union
+        return due, must
+
+    def child_hall(state: _State, due: list, must: int, c: int, child: _State):
+        """hall(child), or None when the child breaks it, reusing the parent's check."""
+        if not finite:
+            return due, must
+        bit = 1 << c >> 1
+        if not bit & must:
+            return None
+        if not bit & state[1]:
+            # c is free: every active row loses a slot and keeps its columns,
+            # and only the rows of c start, at a static slack.  Slacks here are
+            # the child's plus one.  Finding nothing proves nothing, since the
+            # parent left out rows that the new columns may bring in.
+            union = 0
+            for s, cols in sorted(due + fresh[c]):
+                union |= cols
+                if union.bit_count() >= s:
+                    return None
+        return hall(child)
+
     full = (1 << n_cols) - 1
     to_place = sum((top - len(row)) << (width * ri) for ri, row in enumerate(work_rows))
-    root: _State = (full, 0, full, 0, 0, lows * (top - k_eff), lows * (top - d_eff), to_place, None)
-    stack = [[root, *columns(root)]]
+    root: _State = (full, 0, full, 0, 0, lows * (top - k_eff), no_gap, to_place, None)
+    stack = [[root, *columns(root), [], -1]]
     while stack:
         frame = stack[-1]
-        state, listed, rest = frame
+        state, listed, rest, due, must = frame
         if listed:
             c = listed.pop()
         elif rest:
@@ -209,8 +277,10 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             break
         elif not child[2]:
             prunes["forced"] += 1
+        elif (checked := child_hall(state, due, must, c, child)) is None:
+            prunes["deadline"] += 1
         else:
-            stack.append([child, *columns(child)])
+            stack.append([child, *columns(child), *checked])
     else:
         return SolveOutcome(EXHAUSTED, None, SearchStats(nodes, time.monotonic() - t0, prunes))
     stats = SearchStats(nodes, time.monotonic() - t0, prunes)

@@ -60,8 +60,8 @@ def test_criterion_7_theorem2_reduction_satisfiable():
 
 
 def test_criterion_7_stretch_theorem2_unsatisfiable_companion():
-    # Within budget on this solver (about 15 s), so it runs by default;
-    # deselect with `-k "not stretch"` for quick passes.
+    # The deadline rule exhausts it in 18 nodes, well under a second, so it
+    # runs by default; `-k "not stretch"` still deselects it.
     report(case_theorem2_stretch())
 
 

@@ -9,7 +9,7 @@ from gapc1p import (
     check_ordering,
     parse_matrix,
     parse_ordering,
-    reduce_theorem3,
+    reduce_theorem2,
     serialize_matrix,
 )
 from gapc1p.cli import main
@@ -83,10 +83,11 @@ class TestSolve:
         assert main(["solve", "--matrix", str(path), "--k", "1", "--delta", "0"]) == 0
 
     def test_zero_timeout_gives_undecided_exit(self, tmp_path):
-        path = tmp_path / "refute_k3.txt"
+        # The deadline is read every 1,024 nodes; this companion needs millions.
+        path = tmp_path / "companion_3_3.txt"
         cnf = Cnf(1, ((1, 1, 1), (-1, -1, -1)))
-        path.write_text(serialize_matrix(reduce_theorem3(cnf, 3).matrix))
-        code = main(["solve", "--matrix", str(path), "--k", "3", "--delta", "1",
+        path.write_text(serialize_matrix(reduce_theorem2(cnf, 3, 3).matrix))
+        code = main(["solve", "--matrix", str(path), "--k", "3", "--delta", "3",
                      "--timeout", "0"])
         assert code == 2
 

@@ -27,10 +27,44 @@ from gapc1p import (
 from gapc1p.reduction import ROLE_CLAUSE, ROLE_SEPARATOR, ROLE_VARIABLE, formula_value
 
 ONE_VAR_CLAUSES = [(1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1)]
+# The 45 satisfiable formulas of the R9 sweep (see small_formulas) whose
+# Theorem-2 matrices at (2,2) are unsatisfiable: the residual of REPAIRS.md R9.
+# Literals sort as 1, -1, 2, -2.
+R9_LOST = {
+    ((1, 1, 1), (1, -1, -1)), ((1, 1, -1), (1, -1, -1)), ((1, 1, -1), (-1, -1, -1)),
+    ((1, 1, 1), (-1, -1, 2)), ((1, 1, 1), (-1, -1, -2)), ((1, 1, 1), (-1, 2, -2)),
+    ((1, 1, -1), (-1, -1, 2)), ((1, 1, -1), (-1, -1, -2)), ((1, 1, -1), (-1, 2, -2)),
+    ((1, 1, 2), (1, -1, -1)), ((1, 1, 2), (-1, -1, -1)), ((1, 1, 2), (-1, -1, 2)),
+    ((1, 1, 2), (-1, -1, -2)), ((1, 1, 2), (-1, 2, -2)), ((1, 1, -2), (1, -1, -1)),
+    ((1, 1, -2), (-1, -1, -1)), ((1, 1, -2), (-1, -1, 2)), ((1, 1, -2), (-1, -1, -2)),
+    ((1, 1, -2), (-1, 2, -2)), ((1, -1, -1), (1, 2, -2)), ((1, -1, 2), (1, -1, -2)),
+    ((1, -1, 2), (1, -2, -2)), ((1, -1, 2), (-1, -2, -2)), ((1, -1, 2), (2, -2, -2)),
+    ((1, -1, 2), (-2, -2, -2)), ((1, -1, -2), (1, 2, 2)), ((1, -1, -2), (-1, 2, 2)),
+    ((1, -1, -2), (2, 2, 2)), ((1, -1, -2), (2, 2, -2)), ((1, 2, 2), (1, -2, -2)),
+    ((1, 2, 2), (-1, -2, -2)), ((1, 2, 2), (2, -2, -2)), ((1, 2, 2), (-2, -2, -2)),
+    ((1, 2, -2), (-1, -1, -1)), ((1, 2, -2), (-1, -1, 2)), ((1, 2, -2), (-1, -1, -2)),
+    ((1, 2, -2), (-1, 2, -2)), ((1, -2, -2), (-1, 2, 2)), ((1, -2, -2), (2, 2, 2)),
+    ((1, -2, -2), (2, 2, -2)), ((-1, 2, 2), (-1, -2, -2)), ((-1, 2, 2), (2, -2, -2)),
+    ((-1, 2, 2), (-2, -2, -2)), ((-1, -2, -2), (2, 2, 2)), ((-1, -2, -2), (2, 2, -2)),
+}
 
 
 def cnf_over(num_vars, *clauses):
     return Cnf(num_vars, tuple(tuple(c) for c in clauses))
+
+
+def small_formulas():
+    """Every exact-3 formula of 1-2 clauses over 1-2 variables, each variable used.
+
+    Clauses are multisets of literals and formulas multisets of clauses: 216 formulas.
+    """
+    for n in (1, 2):
+        lits = [lit for v in range(1, n + 1) for lit in (v, -v)]
+        clauses = list(itertools.combinations_with_replacement(lits, 3))
+        for count in (1, 2):
+            for f in itertools.combinations_with_replacement(clauses, count):
+                if {abs(lit) for c in f for lit in c} == set(range(1, n + 1)):
+                    yield Cnf(n, f)
 
 
 class TestDimacs:
@@ -304,6 +338,24 @@ class TestEquivalence:
     def test_theorem2_k3_mixed_clause(self):
         rep = verify_reduction(cnf_over(1, (1, 1, -1)), 2, 3, 2)
         assert rep.agree and rep.formula_satisfiable
+
+    def test_r9_sweep_of_small_formulas(self):
+        # Theorem 3 at k=3 agrees on all 216; Theorem 2 at (2,2) is sound for
+        # unsatisfiable formulas and loses exactly the R9_LOST satisfiable ones.
+        formulas = list(small_formulas())
+        assert len(formulas) == 216
+        lost = set()
+        for f in formulas:
+            satisfiable = sat_brute_force(f) is not None
+            t3 = decide(reduce_theorem3(f, 3).matrix, GapSpec(3, 1))
+            assert (t3.status == SATISFIED) == satisfiable, f
+            t2 = decide(reduce_theorem2(f, 2, 2).matrix, GapSpec(2, 2))
+            if not satisfiable:
+                assert t2.status == EXHAUSTED, f
+            elif t2.status == EXHAUSTED:
+                lost.add(f.clauses)
+        assert lost == R9_LOST
+        assert ((1, 1, 1), (1, -1, -1)) in lost
 
 
 class TestFormulaValue:

@@ -19,13 +19,14 @@ from gapc1p import (
     check_ordering,
     classic_c1p,
     decide,
+    reduce_theorem2,
     reduce_theorem3,
 )
 from gapc1p.pqtree import _fit
 from test_bitmatrix import random_matrix
 
 TRIPLE = BinaryMatrix(3, ((1, 2), (2, 3), (1, 3)))
-# Every pair of 5 columns: the search exhausts it at (2,1) in 17 nodes.
+# Every pair of 5 columns: the search exhausts it at (2,1) in 4 nodes.
 ALL_PAIRS_5 = BinaryMatrix(5, tuple(itertools.combinations(range(1, 6), 2)))
 
 
@@ -44,6 +45,11 @@ def nested_prefixes(count: int) -> list[list[int]]:
 def refute(k: int = 3) -> BinaryMatrix:
     """The Theorem-3 matrix of (x) and (not x): unsatisfiable at (k,1)."""
     return reduce_theorem3(Cnf(1, ((1, 1, 1), (-1, -1, -1))), k).matrix
+
+
+def companion_3_3() -> BinaryMatrix:
+    """The Theorem-2 (3,3) matrix of (x) and (not x): 21 columns, millions of nodes."""
+    return reduce_theorem2(Cnf(1, ((1, 1, 1), (-1, -1, -1))), 3, 3).matrix
 
 
 class TestDecide:
@@ -77,7 +83,7 @@ class TestDecide:
 
     def test_timeout_reports_timed_out_at_the_first_deadline_check(self):
         # The deadline is read every 1,024 nodes, so a zero timeout stops there.
-        out = decide(refute(), GapSpec(3, 1), SearchConfig(timeout_seconds=0))
+        out = decide(companion_3_3(), GapSpec(3, 3), SearchConfig(timeout_seconds=0))
         assert out.status == TIMED_OUT
         assert out.witness is None
         assert out.stats.nodes_expanded == 1024
@@ -85,15 +91,15 @@ class TestDecide:
     def test_search_counts_are_pinned(self):
         out = decide(refute(3), GapSpec(3, 1))
         assert out.status == EXHAUSTED
-        assert out.stats.nodes_expanded == 78_763
-        assert out.stats.prunes == {"blocks": 11_966, "forced": 45_987, "symmetry": 0}
+        assert out.stats.nodes_expanded == 175
+        assert out.stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 162}
         out = decide(refute(8), GapSpec(8, 1))
         assert out.status == EXHAUSTED
-        assert out.stats.nodes_expanded == 309_941
-        assert out.stats.prunes == {"blocks": 3_958, "forced": 234_584, "symmetry": 0}
+        assert out.stats.nodes_expanded == 485
+        assert out.stats.prunes == {"blocks": 0, "forced": 107, "symmetry": 0, "deadline": 350}
         full = decide(ALL_PAIRS_5, GapSpec(2, 1))
         assert full.status == EXHAUSTED
-        assert full.stats.nodes_expanded == 17
+        assert full.stats.nodes_expanded == 4
 
     def test_search_counts_are_pinned_on_a_seeded_corpus(self):
         # Exhausted, satisfied and node-budget cases; (20,1) bounds blocks
@@ -108,9 +114,9 @@ class TestDecide:
             statuses[out.status] += 1
             prunes.update(out.stats.prunes)
             nodes += out.stats.nodes_expanded
-        assert statuses == {SATISFIED: 261, EXHAUSTED: 25, TIMED_OUT: 14}
-        assert nodes == 271_504
-        assert prunes == {"blocks": 210_210, "forced": 8_345, "symmetry": 420}
+        assert statuses == {SATISFIED: 262, EXHAUSTED: 36, TIMED_OUT: 2}
+        assert nodes == 222_422
+        assert prunes == {"blocks": 184_057, "forced": 919, "symmetry": 23, "deadline": 1_834}
 
     def test_deep_path_has_no_recursion_cliff(self):
         for n in (1200, 5000):
@@ -168,6 +174,32 @@ class TestOracleEquivalence:
                 assert (out.status == SATISFIED) == truth
                 if out.status == SATISFIED:
                     assert check_ordering(m, out.witness, spec).ok
+
+    # Statuses of 210 seeded matrices of 9-13 columns (e exhausted, s
+    # satisfied), recorded from the search without the deadline rule: a sound
+    # prune changes node counts, never a status.
+    WIDE_STATUSES = (
+        "esssssseseseeeeeessesessssessessseseesseeseeesesseeessssesessesseesess"
+        "essessseeesseseeessesesesssssseseesesessesessesssesesesseessesseesssss"
+        "esssseseeeseesseseseseeessesesesseseeeseeseeeesssesessesesesseseeessss"
+    )
+
+    def test_wide_statuses_are_pinned(self):
+        specs = [GapSpec(2, 1), GapSpec(3, 1), GapSpec(2, 2), GapSpec(3, 2), GapSpec(2, 3),
+                 GapSpec(None, 1), GapSpec(2, None)]
+        rng = random.Random(41)
+        statuses = []
+        for i in range(len(self.WIDE_STATUSES)):
+            n = rng.randint(9, 13)
+            rows = [rng.sample(range(1, n + 1), rng.randint(2, 4))
+                    for _ in range(rng.randint(n // 2, 3 * n // 2))]
+            m = BinaryMatrix.from_rows(n, rows)
+            spec = specs[i % len(specs)]
+            out = decide(m, spec)
+            if out.status == SATISFIED:
+                assert check_ordering(m, out.witness, spec).ok
+            statuses.append(out.status[0])
+        assert "".join(statuses) == self.WIDE_STATUSES
 
     def test_spec_monotonicity_of_decisions(self):
         rng = random.Random(992)
@@ -309,8 +341,8 @@ def small_matrices(draw) -> BinaryMatrix:
     return BinaryMatrix.from_rows(n, rows)
 
 
-GAPPED_SPECS = [GapSpec(2, 1), GapSpec(3, 1), GapSpec(2, 2), GapSpec(3, 2), GapSpec(None, 1),
-                GapSpec(2, None)]
+GAPPED_SPECS = [GapSpec(2, 1), GapSpec(3, 1), GapSpec(2, 2), GapSpec(3, 2), GapSpec(2, 3),
+                GapSpec(3, 3), GapSpec(None, 1), GapSpec(2, None)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=500)
@@ -324,8 +356,8 @@ def test_classic_c1p_agrees_with_brute_force(m):
 
 @st.composite
 def crowded_matrices(draw) -> BinaryMatrix:
-    """At most 7 columns and n to 3n rows of 2 to 4 ones: many refute a gapped spec."""
-    n = draw(st.integers(1, 7))
+    """At most 8 columns and n to 3n rows of 2 to 4 ones: many refute a gapped spec."""
+    n = draw(st.integers(1, 8))
     row = st.sets(st.integers(1, n), min_size=min(n, 2), max_size=4)
     return BinaryMatrix.from_rows(n, draw(st.lists(row, min_size=n, max_size=3 * n)))
 
