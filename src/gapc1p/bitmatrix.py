@@ -16,6 +16,7 @@ functions and safe to use from concurrent tasks.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -25,6 +26,9 @@ DENSE = "dense"
 
 TOO_MANY_BLOCKS = "too_many_blocks"
 GAP_TOO_LARGE = "gap_too_large"
+
+# The most columns whose orderings valid_forward_maps enumerates (10! orderings).
+ENUMERATION_CAP = 10
 
 
 class MatrixFormatError(ValueError):
@@ -198,8 +202,13 @@ def first_violating_row(
 
 
 def valid_forward_maps(matrix: BinaryMatrix, spec: GapSpec) -> Iterator[tuple[int, ...]]:
-    """Yield every forward map that satisfies the spec, in lexicographic order."""
+    """Yield every forward map that satisfies the spec, in lexicographic order.
+
+    More than ``ENUMERATION_CAP`` columns raises ValueError at the first step.
+    """
     n = matrix.num_columns
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"{n} columns exceeds the enumeration cap of {ENUMERATION_CAP}")
     k_eff = spec.block_limit(n)
     d_eff = spec.gap_limit(n)
     rows = [row for row in matrix.rows if len(row) >= 2]
@@ -264,6 +273,11 @@ def _parse_header(line: str) -> tuple[int, int]:
     return num_rows, num_cols
 
 
+# A sparse index token with a leading zero: int() would accept it, but it is
+# what a dense row looks like, and "0011" must not be read as column 11.
+_LEADING_ZERO = re.compile(r"\s0\d")
+
+
 def parse_matrix(text: str, fmt: str = SPARSE) -> BinaryMatrix:
     if fmt not in (SPARSE, DENSE):
         raise ValueError(f"unknown matrix format {fmt!r}")
@@ -278,20 +292,20 @@ def parse_matrix(text: str, fmt: str = SPARSE) -> BinaryMatrix:
     rows = []
     for i, line in enumerate(lines[1:], start=2):
         if fmt == SPARSE:
-            support = []
-            for token in line.split():
-                try:
-                    c = int(token)
-                except ValueError:
-                    raise MatrixFormatError(f"line {i}: bad index {token!r}") from None
-                if not 1 <= c <= num_cols:
-                    raise MatrixFormatError(
-                        f"line {i}: index {c} exceeds {num_cols} columns"
-                    )
-                support.append(c)
+            if _LEADING_ZERO.search(" " + line):
+                raise MatrixFormatError(
+                    f"line {i}: index with a leading zero (a dense row is not sparse input)"
+                )
+            try:
+                support = sorted(map(int, line.split()))
+            except ValueError as exc:
+                raise MatrixFormatError(f"line {i}: bad index ({exc})") from None
+            if support and not (1 <= support[0] and support[-1] <= num_cols):
+                c = support[0] if support[0] < 1 else support[-1]
+                raise MatrixFormatError(f"line {i}: index {c} exceeds {num_cols} columns")
             if len(set(support)) != len(support):
                 raise MatrixFormatError(f"line {i}: duplicate index in row")
-            rows.append(tuple(sorted(support)))
+            rows.append(tuple(support))
         else:
             entry = line.strip()
             if len(entry) != num_cols:

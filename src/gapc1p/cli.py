@@ -26,14 +26,7 @@ from .bitmatrix import (
     serialize_matrix,
     serialize_ordering,
 )
-from .reduction import (
-    VARIANT_LITERAL,
-    VARIANT_REPAIRED,
-    parse_dimacs,
-    reduce_theorem2,
-    reduce_theorem3,
-    to_exact3,
-)
+from .reduction import VARIANT_LITERAL, VARIANT_REPAIRED, parse_dimacs, reduce_formula
 from .solver import (
     EXHAUSTED,
     SATISFIED,
@@ -44,8 +37,8 @@ from .solver import (
     brute_force,
     decide,
 )
-from .gadget import GadgetSpec, build_gadget, verify_rigidity
-from .verifysuite import DEFAULT_SEED, FAIL, SKIP, run_single_rigidity, run_suite
+from .gadget import GadgetSpec, build_gadget
+from .verifysuite import DEFAULT_SEED, FAIL, SEEDED_SUITES, run_single_rigidity, run_suite
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -97,11 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gadget = sub.add_parser("gadget", help="emit a column-rigidity gadget as a matrix file")
     p_gadget.add_argument("--n", type=int, required=True)
     p_gadget.add_argument("--delta", type=int, required=True)
-    p_gadget.add_argument("--k", type=int, default=2)
     p_gadget.add_argument("--columns", default=None,
                           help="comma-separated target order (default 1..n)")
-    p_gadget.add_argument("--verify", action="store_true",
-                          help="exhaustively verify rigidity instead of emitting rows")
     p_gadget.add_argument("--force", action="store_true",
                           help="build even when n < 2*delta+3 (rigidity not guaranteed)")
     p_gadget.add_argument("-o", "--output", default=None)
@@ -120,9 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the oracle verification suites")
     p_verify.add_argument("--suite", choices=("gadget", "solver", "reduction", "all"),
                           required=True)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--no-stretch", action="store_true",
-                          help="skip the long unsatisfiable companion case")
+    p_verify.add_argument("--seed", type=int, default=None,
+                          help=f"seed of the solver cases' random corpus (default {DEFAULT_SEED})")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--delta", type=int, default=None)
@@ -229,12 +218,6 @@ def _cmd_gadget(args) -> int:
             raise _CliError(f"--columns lists {len(target)} columns but --n is {args.n}")
     else:
         target = tuple(range(1, args.n + 1))
-    if args.verify:
-        if args.columns is not None:
-            raise _CliError("--verify enumerates the default universe; omit --columns")
-        report = verify_rigidity(args.n, args.delta, args.k, extra_columns=0)
-        print(f"rigid={str(report.rigid).lower()} valid_count={report.valid_count}")
-        return EXIT_HOLDS if report.rigid else EXIT_FAILS
     rows = build_gadget(GadgetSpec(target, args.delta, force=args.force))
     matrix = BinaryMatrix(max(target), rows)
     _write(args.output, serialize_matrix(matrix, SPARSE))
@@ -242,17 +225,8 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    cnf = to_exact3(parse_dimacs(_read(args.cnf)))
-    if args.theorem == 3:
-        if args.delta is not None and args.delta != 1:
-            raise _CliError("the block-count family is defined at delta = 1")
-        if args.variant is not None:
-            raise _CliError("--variant selects a Theorem-2 family; use --theorem 2")
-        output = reduce_theorem3(cnf, args.k)
-    else:
-        if args.delta is None:
-            raise _CliError("--theorem 2 requires --delta")
-        output = reduce_theorem2(cnf, args.k, args.delta, args.variant or VARIANT_REPAIRED)
+    cnf = parse_dimacs(_read(args.cnf))
+    output = reduce_formula(cnf, args.theorem, args.k, args.delta, args.variant)
     _write(args.output, serialize_matrix(output.matrix, SPARSE))
     if args.legend is not None:
         params = output.params
@@ -287,15 +261,18 @@ def _cmd_verify(args) -> int:
                             "use --suite gadget")
         if args.n is None or args.delta is None:
             raise _CliError("a single gadget case needs both --n and --delta")
+        if args.seed is not None:
+            raise _CliError("--seed draws the solver suite's corpus; a gadget case has none")
         k = 2 if args.k is None else args.k
         GapSpec(k, args.delta)  # a bad bound is a usage error, not a failed case
         results = [run_single_rigidity(args.n, args.delta, k, args.extra or 0)]
     else:
-        results = run_suite(args.suite, seed=args.seed, stretch=not args.no_stretch)
+        results = run_suite(args.suite, args.seed)
     if args.json:
+        seeded = args.suite in SEEDED_SUITES
         print(json.dumps({
             "suite": args.suite,
-            "seed": args.seed,
+            "seed": (DEFAULT_SEED if args.seed is None else args.seed) if seeded else None,
             "ok": all(r.status != FAIL for r in results),
             "cases": [
                 {
@@ -313,9 +290,7 @@ def _cmd_verify(args) -> int:
             print(f"[{r.case_id}] {r.status.upper():4s} {r.name} "
                   f"({r.elapsed_seconds:.2f}s) - {r.detail}")
         failed = sum(r.status == FAIL for r in results)
-        skipped = sum(r.status == SKIP for r in results)
-        print(f"{len(results)} cases: {len(results) - failed - skipped} passed, "
-              f"{failed} failed, {skipped} skipped")
+        print(f"{len(results)} cases: {len(results) - failed} passed, {failed} failed")
     return EXIT_FAILS if any(r.status == FAIL for r in results) else EXIT_HOLDS
 
 

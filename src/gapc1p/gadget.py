@@ -77,23 +77,20 @@ def verify_rigidity(
     delta: int,
     k: int,
     extra_columns: int = 0,
-    column_cap: int = 10,
 ) -> RigidityReport:
     """Exhaustively confirm gadget rigidity over all permutations.
 
     Builds the gadget on columns 1..n inside a universe of n + extra_columns
     columns, enumerates every ordering, and checks that in each valid one the
     gadget columns sit consecutively in target or reversed order.  The extra
-    columns are unconstrained.
+    columns are unconstrained.  A universe of more than ``ENUMERATION_CAP``
+    columns is a ValueError.
     """
-    total = n + extra_columns
-    if total > column_cap:
-        raise ValueError(f"{total} columns exceeds the enumeration cap of {column_cap}")
     if n < 2:
         raise ValueError("rigidity needs at least two selected columns")
     target = tuple(range(1, n + 1))
     rows = build_gadget(GadgetSpec(target, delta, force=True))
-    matrix = BinaryMatrix(total, rows)
+    matrix = BinaryMatrix(n + extra_columns, rows)
     reversed_target = tuple(reversed(target))
     valid_count = 0
     counterexample: ColumnOrdering | None = None

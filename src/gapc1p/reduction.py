@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, first_violating_row
-from .gadget import GadgetSpec, build_gadget, gadget_row_count
+from .gadget import GadgetSpec, build_gadget
 from .solver import SATISFIED, TIMED_OUT, SearchConfig, SolveOutcome, decide
 
 VARIANT_LITERAL = "literal"
@@ -38,6 +38,9 @@ VARIANT_REPAIRED = "repaired"
 ROLE_VARIABLE = "variable"
 ROLE_SEPARATOR = "separator"
 ROLE_CLAUSE = "clause"
+
+# The exhaustive SAT oracle enumerates 2**num_vars assignments; it refuses more.
+VAR_CAP = 20
 
 
 class DimacsFormatError(ValueError):
@@ -87,26 +90,22 @@ class ReductionParams:
 
 @dataclass(frozen=True)
 class ReductionOutput:
+    """A generated instance and the layout it was built with.
+
+    ``clause_blocks[j-1]`` holds the columns of clause j's block; the three
+    literal rows of clause j are rows ``first_literal_row + 3*(j-1)`` through
+    ``first_literal_row + 3*j - 1`` (0-based), after every other row.
+    """
+
     matrix: BinaryMatrix
     legend: dict[int, ColumnRole]
     cnf: Cnf
     params: ReductionParams
-
-    @property
-    def block_width(self) -> int:
-        return 4 if self.params.theorem == 3 else 5
+    clause_blocks: tuple[tuple[int, ...], ...]
+    first_literal_row: int
 
     def separator_column(self, t: int) -> int:
         return 2 * self.params.num_vars + t
-
-    def clause_block(self, j: int) -> tuple[int, ...]:
-        base = 2 * self.params.num_vars + self.params.d + self.block_width * (j - 1)
-        return tuple(base + s for s in range(1, self.block_width + 1))
-
-    def clause_row_bound(self, j: int) -> int:
-        """Number of leading rows unaffected by clause blocks after j."""
-        g = gadget_row_count(self.params.d, self.params.delta, force=True)
-        return g + self.params.num_vars + self.params.num_clauses + 3 * j
 
 
 @dataclass(frozen=True)
@@ -225,19 +224,19 @@ def to_exact3(cnf: Cnf) -> Cnf:
     return Cnf(next_var - 1, tuple(clauses))
 
 
-def satisfying_assignments(cnf: Cnf, var_cap: int = 20):
+def satisfying_assignments(cnf: Cnf):
     """Yield every satisfying assignment, in binary counting order."""
-    if cnf.num_vars > var_cap:
-        raise ValueError(f"{cnf.num_vars} variables exceeds the cap of {var_cap}")
+    if cnf.num_vars > VAR_CAP:
+        raise ValueError(f"{cnf.num_vars} variables exceeds the cap of {VAR_CAP}")
     for values in itertools.product((False, True), repeat=cnf.num_vars):
         assignment = {i + 1: values[i] for i in range(cnf.num_vars)}
         if formula_value(cnf, assignment):
             yield assignment
 
 
-def sat_brute_force(cnf: Cnf, var_cap: int = 20) -> dict[int, bool] | None:
+def sat_brute_force(cnf: Cnf) -> dict[int, bool] | None:
     """Exhaustive SAT oracle; returns the first satisfying assignment found."""
-    return next(satisfying_assignments(cnf, var_cap), None)
+    return next(satisfying_assignments(cnf), None)
 
 
 def formula_value(cnf: Cnf, assignment: Mapping[int, bool]) -> bool:
@@ -257,16 +256,16 @@ def _require_exact3(cnf: Cnf) -> None:
             raise ValueError(f"clause {i} has {len(clause)} literals; expected exactly 3")
 
 
-def _legend(n: int, d: int, m: int, width: int) -> dict[int, ColumnRole]:
+def _legend(n: int, d: int, blocks: Sequence[tuple[int, ...]]) -> dict[int, ColumnRole]:
     legend: dict[int, ColumnRole] = {}
     for i in range(1, n + 1):
         legend[2 * i - 1] = ColumnRole(ROLE_VARIABLE, i, 1)
         legend[2 * i] = ColumnRole(ROLE_VARIABLE, i, 2)
     for t in range(1, d + 1):
         legend[2 * n + t] = ColumnRole(ROLE_SEPARATOR, t)
-    for j in range(1, m + 1):
-        for s in range(1, width + 1):
-            legend[2 * n + d + width * (j - 1) + s] = ColumnRole(ROLE_CLAUSE, j, s)
+    for j, block in enumerate(blocks, start=1):
+        for s, c in enumerate(block, start=1):
+            legend[c] = ColumnRole(ROLE_CLAUSE, j, s)
     return legend
 
 
@@ -332,22 +331,23 @@ def _build(
     n, m = cnf.num_vars, len(cnf.clauses)
     sep = 2 * n
     num_columns = 2 * n + d + width * m
-    blocks = [
+    blocks = tuple(
         tuple(2 * n + d + width * (j - 1) + s for s in range(1, width + 1))
         for j in range(1, m + 1)
-    ]
+    )
     separator_order = tuple(sep + t for t in range(1, d + 1))
     rows: list[tuple[int, ...]] = list(
         build_gadget(GadgetSpec(separator_order, delta, force=True))
     )
     rows.extend(_variable_row(i, n, k, sep) for i in range(1, n + 1))
     rows.extend(_nesting_row(j, k, d, sep, blocks) for j in range(1, m + 1))
+    first_literal_row = len(rows)
     for j, clause in enumerate(cnf.clauses, start=1):
         for slot, lit in enumerate(clause, start=2):
             rows.append(_literal_row(lit, j, slot, n, k, d, sep, blocks, tail_start))
     matrix = BinaryMatrix(num_columns, tuple(rows))
     params = ReductionParams(theorem, k, delta, d, n, m, variant)
-    return ReductionOutput(matrix, _legend(n, d, m, width), cnf, params)
+    return ReductionOutput(matrix, _legend(n, d, blocks), cnf, params, blocks, first_literal_row)
 
 
 def reduce_theorem3(cnf3: Cnf, k: int) -> ReductionOutput:
@@ -383,6 +383,34 @@ def reduce_theorem2(
     return _build(cnf3, 2, k, delta, d, width=5, tail_start=2 * k - 3, variant=variant)
 
 
+def reduce_formula(
+    cnf: Cnf,
+    theorem: int,
+    k: int,
+    delta: int | None = None,
+    variant: str | None = None,
+) -> ReductionOutput:
+    """The instance of one theorem's family for any CNF, normalized by ``to_exact3``.
+
+    Theorem 3 picks the block-count family, which is defined at delta = 1
+    and has no variants; theorem 2 picks the gapped family, which needs a
+    delta and defaults to the repaired variant.  Anything the chosen family
+    would ignore is rejected.
+    """
+    cnf3 = to_exact3(cnf)
+    if theorem == 3:
+        if delta not in (None, 1):
+            raise ValueError("the block-count family (theorem 3) is defined at delta = 1")
+        if variant is not None:
+            raise ValueError("a variant selects a gapped family; use theorem 2")
+        return reduce_theorem3(cnf3, k)
+    if theorem == 2:
+        if delta is None:
+            raise ValueError("the gapped family (theorem 2) needs a delta")
+        return reduce_theorem2(cnf3, k, delta, variant or VARIANT_REPAIRED)
+    raise ValueError(f"theorem must be 2 or 3, got {theorem}")
+
+
 # ---------------------------------------------------------------------------
 # Witness construction and the two-sided equivalence check.
 
@@ -409,27 +437,26 @@ def witness_from_assignment(
         else:
             forward.extend((2 * i, 2 * i - 1))
     forward.extend(output.separator_column(t) for t in range(1, params.d + 1))
+    # Columns start in layout order.  Clause block j then takes the first
+    # arrangement under which every row through its literal rows is valid,
+    # with the later blocks still in layout order, and keeps it.
     rows = output.matrix.rows
     position = [0] * (output.matrix.num_columns + 1)
-    for j in range(1, params.num_clauses + 1):
-        block = output.clause_block(j)
-        rest = [c for jj in range(j + 1, params.num_clauses + 1)
-                for c in output.clause_block(jj)]
-        for pos, c in enumerate(forward + list(block) + rest, start=1):
-            position[c] = pos
-        head = rows[:output.clause_row_bound(j)]
-        chosen = None
+    layout = forward + [c for block in output.clause_blocks for c in block]
+    for pos, c in enumerate(layout, start=1):
+        position[c] = pos
+    for j, block in enumerate(output.clause_blocks, start=1):
+        head = rows[:output.first_literal_row + 3 * j]
         for perm in itertools.permutations(block):
             for pos, c in enumerate(perm, start=len(forward) + 1):
                 position[c] = pos
             if first_violating_row(head, position, params.k, params.delta) < 0:
-                chosen = perm
                 break
-        if chosen is None:
+        else:
             raise ConstructionError(
                 f"no internal arrangement of clause block {j} satisfies its rows"
             )
-        forward.extend(chosen)
+        forward.extend(perm)
     ordering = ColumnOrdering(tuple(forward))
     if not check_ordering(output.matrix, ordering, GapSpec(params.k, params.delta)).ok:
         raise ConstructionError("assembled witness fails the full matrix check")
@@ -442,24 +469,17 @@ def verify_reduction(
     k: int,
     delta: int | None = None,
     config: SearchConfig | None = None,
-    variant: str = VARIANT_REPAIRED,
+    variant: str | None = None,
 ) -> EquivalenceReport:
     """Check formula satisfiability against the generated matrix's decision.
 
+    The instance is ``reduce_formula(cnf, theorem, k, delta, variant)``.
     Runs the exhaustive SAT oracle on one side and the complete ordering
     search on the other; for satisfiable formulas the explicit witness
     construction is validated end to end.  A timed-out search leaves the
     agreement unknown.
     """
-    cnf3 = to_exact3(cnf)
-    if theorem == 3:
-        output = reduce_theorem3(cnf3, k)
-    elif theorem == 2:
-        if delta is None:
-            raise ValueError("the gapped family needs a delta")
-        output = reduce_theorem2(cnf3, k, delta, variant)
-    else:
-        raise ValueError("theorem must be 2 or 3")
+    output = reduce_formula(cnf, theorem, k, delta, variant)
     outcome = decide(output.matrix, GapSpec(k, output.params.delta), config)
     # Some satisfying assignments may not admit the canonical layout (the
     # gapped family tolerates at most one falsified occurrence per clause),
@@ -467,7 +487,7 @@ def verify_reduction(
     # assignment at all is a construction discrepancy.
     formula_satisfiable = False
     witness_error: ConstructionError | None = None
-    for assignment in satisfying_assignments(cnf3):
+    for assignment in satisfying_assignments(output.cnf):
         formula_satisfiable = True
         try:
             witness_from_assignment(output, assignment)

@@ -298,17 +298,14 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
 def brute_force(
     matrix: BinaryMatrix,
     spec: GapSpec,
-    column_cap: int = 10,
     witness_cap: int = 8,
 ) -> ExhaustiveReport:
     """Enumerate all column permutations and count the valid ones.
 
     Witnesses are collected up to ``witness_cap`` in lexicographic order of
-    the forward maps; ``valid_count`` is always exact.
+    the forward maps; ``valid_count`` is always exact.  More than
+    ``ENUMERATION_CAP`` columns is a ValueError.
     """
-    n = matrix.num_columns
-    if n > column_cap:
-        raise ValueError(f"{n} columns exceeds the brute-force cap of {column_cap}")
     valid = 0
     witnesses: list[ColumnOrdering] = []
     for forward in valid_forward_maps(matrix, spec):

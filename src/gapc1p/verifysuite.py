@@ -29,7 +29,9 @@ DEFAULT_SEED = 212121
 
 PASS = "pass"
 FAIL = "fail"
-SKIP = "skip"
+
+# The suites whose cases draw the seeded random corpus.
+SEEDED_SUITES = ("solver", "all")
 
 
 @dataclass
@@ -275,13 +277,17 @@ def case_collapse_and_reversal(seed: int) -> CaseResult:
 # Suite assembly.
 
 
-def run_suite(
-    suite: str,
-    seed: int = DEFAULT_SEED,
-    stretch: bool = True,
-) -> list[CaseResult]:
+def run_suite(suite: str, seed: int | None = None) -> list[CaseResult]:
+    """Run every case of a suite; ``seed`` (default ``DEFAULT_SEED``) draws the corpus.
+
+    A seed is rejected for a suite that draws no corpus.
+    """
     if suite not in ("gadget", "solver", "reduction", "all"):
         raise ValueError(f"unknown suite {suite!r}")
+    if seed is None:
+        seed = DEFAULT_SEED
+    elif suite not in SEEDED_SUITES:
+        raise ValueError(f"suite {suite!r} draws no random corpus, so it takes no seed")
     results: list[CaseResult] = []
     if suite in ("gadget", "all"):
         results.append(case_row_count_identity())
@@ -294,14 +300,7 @@ def run_suite(
     if suite in ("reduction", "all"):
         results.append(case_theorem3_equivalence())
         results.append(case_theorem2_satisfiable())
-        if stretch:
-            results.append(case_theorem2_stretch())
-        else:
-            results.append(CaseResult(
-                "C7S",
-                "gapped reduction, unsatisfiable companion (stretch)",
-                SKIP, 0.0, "skipped on request (--no-stretch)", 3600.0,
-            ))
+        results.append(case_theorem2_stretch())
         results.append(case_repairs_ledger())
     return results
 

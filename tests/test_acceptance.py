@@ -61,7 +61,7 @@ def test_criterion_7_theorem2_reduction_satisfiable():
 
 def test_criterion_7_stretch_theorem2_unsatisfiable_companion():
     # The deadline rule exhausts it in 18 nodes, well under a second, so it
-    # runs by default; `-k "not stretch"` still deselects it.
+    # always runs, here and in `gapc1p verify`.
     report(case_theorem2_stretch())
 
 

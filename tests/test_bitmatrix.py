@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapc1p import (
     DENSE,
@@ -63,6 +65,13 @@ class TestParsing:
     def test_error_reports_line_number(self):
         with pytest.raises(MatrixFormatError, match="line 3"):
             parse_matrix("2 2\n1\n7\n")
+
+    def test_sparse_rejects_leading_zeros(self):
+        # A dense row read as sparse indices: "0011" is not column 11.
+        for row in ("0011", " 07", "1\t010", "3 00"):
+            with pytest.raises(MatrixFormatError, match="line 2: index with a leading zero"):
+                parse_matrix(f"1 12\n{row}\n")
+        assert parse_matrix("1 12\n10 1 12\n").rows == ((1, 10, 12),)
 
     def test_empty_row_line(self):
         m = parse_matrix("2 2\n\n1 2\n")
@@ -262,3 +271,34 @@ class TestTypes:
             GapSpec(1, -1)
         assert GapSpec(None, None).block_limit(5) == 5
         assert str(GapSpec(2, None)) == "(2,inf)"
+
+
+@st.composite
+def matrices(draw) -> BinaryMatrix:
+    n = draw(st.integers(1, 12))
+    return BinaryMatrix.from_rows(n, draw(st.lists(st.sets(st.integers(1, n)), max_size=8)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(matrices(), st.sampled_from((SPARSE, DENSE)))
+def test_serialize_parse_round_trip(m, fmt):
+    assert parse_matrix(serialize_matrix(m, fmt), fmt) == m
+
+
+@st.composite
+def matrices_with_orderings(draw) -> tuple[BinaryMatrix, ColumnOrdering]:
+    m = draw(matrices())
+    return m, ColumnOrdering(tuple(draw(st.permutations(range(1, m.num_columns + 1)))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(matrices_with_orderings(),
+       st.sampled_from((GapSpec(2, 1), GapSpec(3, 2), GapSpec(None, 1), GapSpec(2, None))))
+def test_check_ordering_is_reversal_invariant(case, spec):
+    m, o = case
+
+    def verdict(ordering):
+        v = check_ordering(m, ordering, spec).first_violation
+        return None if v is None else (v.row_index, v.kind)
+
+    assert verdict(o) == verdict(o.reverse())

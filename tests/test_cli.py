@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 
@@ -12,7 +13,7 @@ from gapc1p import (
     reduce_theorem2,
     serialize_matrix,
 )
-from gapc1p.cli import main
+from gapc1p.cli import build_parser, main
 
 TRIPLE_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 CHAIN_TEXT = "2 3\n1 2\n2 3\n"
@@ -194,10 +195,11 @@ class TestGadget:
         assert main(["gadget", "--n", "4", "--delta", "1"]) == 3
         assert main(["gadget", "--n", "4", "--delta", "1", "--force"]) == 0
 
-    def test_verify_mode(self, capsys):
-        code = main(["gadget", "--n", "5", "--delta", "1", "--k", "2", "--verify"])
-        assert code == 0
-        assert "valid_count=2" in capsys.readouterr().out
+    def test_rigidity_check_lives_in_verify(self):
+        # `verify --suite gadget --n --delta [--k]` is the one rigidity check;
+        # the gadget's rows do not depend on k.
+        assert main(["gadget", "--n", "5", "--delta", "1", "--verify"]) == 3
+        assert main(["gadget", "--n", "5", "--delta", "1", "--k", "2"]) == 3
 
 
 class TestReduce:
@@ -242,6 +244,13 @@ class TestReduce:
                      "--legend", str(legend)]) == 0
         assert json.loads(legend.read_text())["variant"] == "repaired"
 
+    def test_theorem3_is_defined_at_delta_one(self, tmp_path):
+        cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
+        base = ["reduce", "--cnf", str(cnf), "--theorem", "3", "--k", "3",
+                "-o", str(tmp_path / "m.txt")]
+        assert main([*base, "--delta", "2"]) == 3
+        assert main([*base, "--delta", "1"]) == 0
+
     def test_theorem2_requires_delta(self, tmp_path):
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
         assert main(["reduce", "--cnf", str(cnf), "--theorem", "2", "--k", "2"]) == 3
@@ -265,6 +274,7 @@ class TestVerify:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
+        assert payload["seed"] is None  # the gadget cases draw no random corpus
         assert [c["id"] for c in payload["cases"]] == ["C1", "C2", "C3"]
         assert all(c["status"] == "pass" for c in payload["cases"])
 
@@ -273,6 +283,20 @@ class TestVerify:
 
     def test_single_case_flags_require_gadget_suite(self):
         assert main(["verify", "--suite", "solver", "--n", "5", "--delta", "1"]) == 3
+
+    def test_seed_needs_a_seeded_suite(self):
+        # Only the solver suite draws a random corpus.
+        assert main(["verify", "--suite", "gadget", "--seed", "7"]) == 3
+        assert main(["verify", "--suite", "reduction", "--seed", "7"]) == 3
+        assert main(["verify", "--suite", "gadget", "--n", "5", "--delta", "1",
+                     "--seed", "7"]) == 3
+
+    def test_stretch_case_always_runs(self, capsys):
+        assert main(["verify", "--suite", "reduction", "--no-stretch"]) == 3
+        assert main(["verify", "--suite", "reduction", "--json"]) == 0
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        assert [c["id"] for c in cases] == ["C6", "C7", "C7S", "C8"]
+        assert cases[2]["status"] == "pass" and "18 nodes" in cases[2]["detail"]
 
     def test_extra_selects_a_single_case(self, capsys):
         assert main(["verify", "--suite", "gadget", "--extra", "3"]) == 3
@@ -298,3 +322,29 @@ class TestUsage:
         bad = tmp_path / "bad.txt"
         bad.write_text("1 2\n3\n")
         assert main(["solve", "--matrix", str(bad), "--k", "1", "--delta", "0"]) == 3
+
+    def test_dense_matrix_file_is_rejected(self, tmp_path, capsys):
+        # Read as sparse, these rows would be {11} and {1}, not {11,12} and {12}.
+        dense = tmp_path / "dense.txt"
+        dense.write_text("2 12\n000000000011\n000000000001\n")
+        assert main(["solve", "--matrix", str(dense), "--k", "1", "--delta", "0"]) == 3
+        assert "leading zero" in capsys.readouterr().err
+
+    def test_option_sets_are_pinned(self):
+        # Every option changes a result; adding one back is a deliberate change here.
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {s for a in sub._actions if not isinstance(a, argparse._HelpAction)
+                   for s in a.option_strings}
+            for name, sub in commands.choices.items()
+        }
+        assert options == {
+            "check": {"--matrix", "--order", "--k", "--delta", "--json"},
+            "solve": {"--matrix", "--k", "--delta", "--timeout", "--nodes", "--brute-force",
+                      "--json"},
+            "gadget": {"--n", "--delta", "--columns", "--force", "-o", "--output"},
+            "reduce": {"--cnf", "--theorem", "--k", "--delta", "--variant", "--legend",
+                       "-o", "--output"},
+            "verify": {"--suite", "--seed", "--json", "--n", "--delta", "--k", "--extra"},
+        }

@@ -16,6 +16,7 @@ from gapc1p import (
     build_gadget,
     check_ordering,
     parse_dimacs,
+    reduce_formula,
     reduce_theorem2,
     reduce_theorem3,
     sat_brute_force,
@@ -215,10 +216,34 @@ class TestTheorem2Shape:
 
     def test_clause_blocks_disjoint_and_five_wide(self):
         out = reduce_theorem2(cnf_over(1, (1, 1, 1), (1, 1, 1)), 2, 2)
-        b1, b2 = out.clause_block(1), out.clause_block(2)
+        b1, b2 = out.clause_blocks
         assert len(b1) == len(b2) == 5
         assert not set(b1) & set(b2)
         assert max(b2) == out.matrix.num_columns
+        # Three literal rows per clause close the row list.
+        assert out.matrix.num_rows == out.first_literal_row + 3 * 2
+        assert all(b2[0] in row for row in out.matrix.rows[out.first_literal_row + 3:])
+
+
+class TestReduceFormula:
+    def test_picks_the_family_by_theorem(self):
+        phi = cnf_over(1, (1, -1))  # normalized to exactly three literals
+        assert reduce_formula(phi, 3, 3) == reduce_theorem3(to_exact3(phi), 3)
+        assert reduce_formula(phi, 3, 3, delta=1) == reduce_theorem3(to_exact3(phi), 3)
+        assert reduce_formula(phi, 2, 2, 2) == reduce_theorem2(to_exact3(phi), 2, 2)
+        literal = reduce_formula(phi, 2, 2, 2, VARIANT_LITERAL)
+        assert literal == reduce_theorem2(to_exact3(phi), 2, 2, VARIANT_LITERAL)
+
+    def test_rejects_what_the_family_ignores(self):
+        phi = cnf_over(1, (1, 1, 1))
+        with pytest.raises(ValueError, match="delta = 1"):
+            verify_reduction(phi, 3, 3, delta=5)
+        with pytest.raises(ValueError, match="variant"):
+            verify_reduction(phi, 3, 3, variant=VARIANT_LITERAL)
+        with pytest.raises(ValueError, match="needs a delta"):
+            reduce_formula(phi, 2, 2)
+        with pytest.raises(ValueError, match="theorem must be 2 or 3"):
+            reduce_formula(phi, 4, 3)
 
 
 class TestWitness:
@@ -259,7 +284,7 @@ def separator_reversed(output, ordering):
 
 
 def first_three_positions(output, ordering, j, reverse):
-    positions = sorted(ordering.inverse[c - 1] for c in output.clause_block(j))
+    positions = sorted(ordering.inverse[c - 1] for c in output.clause_blocks[j - 1])
     return set(positions[-3:]) if reverse else set(positions[:3])
 
 
@@ -284,7 +309,7 @@ class TestForcedGapMechanism:
                         continue
                     falsified = value != (lit > 0)
                     if falsified:
-                        block = out.clause_block(j)
+                        block = out.clause_blocks[j - 1]
                         assert inv[block[0] - 1] in head
                         assert inv[block[slot - 1] - 1] in head
 

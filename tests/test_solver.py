@@ -255,7 +255,7 @@ class TestBruteForce:
 
     def test_column_cap(self):
         with pytest.raises(ValueError):
-            brute_force(BinaryMatrix(11, ()), GapSpec(1, 0), column_cap=10)
+            brute_force(BinaryMatrix(11, ()), GapSpec(1, 0))
 
 
 class TestClassicC1P:
