@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-SPARSE = "sparse"
-DENSE = "dense"
-
 TOO_MANY_BLOCKS = "too_many_blocks"
 GAP_TOO_LARGE = "gap_too_large"
 
@@ -253,11 +250,12 @@ def apply_ordering(matrix: BinaryMatrix, ordering: ColumnOrdering) -> BinaryMatr
 # ---------------------------------------------------------------------------
 # File formats.
 #
-# Sparse: line 1 is "<num_rows> <num_cols>", then one line per row with the
-# space-separated 1-based indices of the ones (an empty line is an empty
-# row).  Dense: same header, then num_rows lines of exactly num_cols
-# characters from {0,1}.  Ordering file: one line of num_cols space-separated
-# column indices (the forward map).
+# Matrix file: line 1 is "<num_rows> <num_cols>", then one line per row with
+# the space-separated 1-based indices of the ones (an empty line is an empty
+# row).  Ordering file: one line of num_cols space-separated column indices
+# (the forward map).  An index token is [1-9][0-9]*: no sign, no leading zero
+# (a 0/1 row such as "0011" must not be read as column 11), no underscore and
+# no non-ASCII digit, all of which int() would accept.
 
 
 def _parse_header(line: str) -> tuple[int, int]:
@@ -273,14 +271,19 @@ def _parse_header(line: str) -> tuple[int, int]:
     return num_rows, num_cols
 
 
-# A sparse index token with a leading zero: int() would accept it, but it is
-# what a dense row looks like, and "0011" must not be read as column 11.
-_LEADING_ZERO = re.compile(r"\s0\d")
+_INDEX = re.compile(r"[1-9][0-9]*")
+# \s is exactly the whitespace str.split() splits on.
+_INDEX_LIST = re.compile(r"\s*(?:[1-9][0-9]*\s+)*(?:[1-9][0-9]*)?")
 
 
-def parse_matrix(text: str, fmt: str = SPARSE) -> BinaryMatrix:
-    if fmt not in (SPARSE, DENSE):
-        raise ValueError(f"unknown matrix format {fmt!r}")
+def _bad_index(text: str) -> str:
+    """The first token of ``text`` that is not an index (``text`` holds one)."""
+    token = next(t for t in text.split() if not _INDEX.fullmatch(t))
+    return (f"bad index {token!r} (an index is a column number with no sign "
+            f"or leading zero)")
+
+
+def parse_matrix(text: str) -> BinaryMatrix:
     lines = text.splitlines()
     if not lines:
         raise MatrixFormatError("line 1: missing header")
@@ -291,62 +294,31 @@ def parse_matrix(text: str, fmt: str = SPARSE) -> BinaryMatrix:
         )
     rows = []
     for i, line in enumerate(lines[1:], start=2):
-        if fmt == SPARSE:
-            if _LEADING_ZERO.search(" " + line):
-                raise MatrixFormatError(
-                    f"line {i}: index with a leading zero (a dense row is not sparse input)"
-                )
-            try:
-                support = sorted(map(int, line.split()))
-            except ValueError as exc:
-                raise MatrixFormatError(f"line {i}: bad index ({exc})") from None
-            if support and not (1 <= support[0] and support[-1] <= num_cols):
-                c = support[0] if support[0] < 1 else support[-1]
-                raise MatrixFormatError(f"line {i}: index {c} exceeds {num_cols} columns")
-            if len(set(support)) != len(support):
-                raise MatrixFormatError(f"line {i}: duplicate index in row")
-            rows.append(tuple(support))
-        else:
-            entry = line.strip()
-            if len(entry) != num_cols:
-                raise MatrixFormatError(
-                    f"line {i}: expected {num_cols} characters, found {len(entry)}"
-                )
-            bad = set(entry) - {"0", "1"}
-            if bad:
-                raise MatrixFormatError(
-                    f"line {i}: non-0/1 character {sorted(bad)[0]!r}"
-                )
-            rows.append(tuple(p + 1 for p, ch in enumerate(entry) if ch == "1"))
+        if not _INDEX_LIST.fullmatch(line):
+            raise MatrixFormatError(f"line {i}: {_bad_index(line)}")
+        support = sorted(map(int, line.split()))
+        if support and support[-1] > num_cols:
+            raise MatrixFormatError(f"line {i}: index {support[-1]} exceeds {num_cols} columns")
+        if len(set(support)) != len(support):
+            raise MatrixFormatError(f"line {i}: duplicate index in row")
+        rows.append(tuple(support))
     return BinaryMatrix(num_cols, tuple(rows))
 
 
-def serialize_matrix(matrix: BinaryMatrix, fmt: str = SPARSE) -> str:
-    if fmt not in (SPARSE, DENSE):
-        raise ValueError(f"unknown matrix format {fmt!r}")
+def serialize_matrix(matrix: BinaryMatrix) -> str:
     out = [f"{matrix.num_rows} {matrix.num_columns}"]
-    if fmt == SPARSE:
-        for row in matrix.rows:
-            out.append(" ".join(str(c) for c in row))
-    else:
-        for row in matrix.rows:
-            support = set(row)
-            out.append(
-                "".join("1" if c in support else "0" for c in range(1, matrix.num_columns + 1))
-            )
+    out.extend(" ".join(str(c) for c in row) for row in matrix.rows)
     return "\n".join(out) + "\n"
 
 
 def parse_ordering(text: str, num_columns: int) -> ColumnOrdering:
-    tokens = text.split()
-    if len(tokens) != num_columns:
+    if not _INDEX_LIST.fullmatch(text):
+        raise MatrixFormatError(f"ordering: {_bad_index(text)}")
+    forward = tuple(map(int, text.split()))
+    if len(forward) != num_columns:
         raise MatrixFormatError(
-            f"ordering has {len(tokens)} entries, expected {num_columns}"
+            f"ordering has {len(forward)} entries, expected {num_columns}"
         )
-    try:
-        forward = tuple(int(t) for t in tokens)
-    except ValueError:
-        raise MatrixFormatError("ordering contains a non-integer entry") from None
     try:
         return ColumnOrdering(forward)
     except ValueError as exc:

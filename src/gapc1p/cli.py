@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 import traceback
 from pathlib import Path
 
 from .bitmatrix import (
-    SPARSE,
+    ENUMERATION_CAP,
     BinaryMatrix,
     GapSpec,
     check_ordering,
@@ -26,17 +25,8 @@ from .bitmatrix import (
     serialize_matrix,
     serialize_ordering,
 )
-from .reduction import VARIANT_LITERAL, VARIANT_REPAIRED, parse_dimacs, reduce_formula
-from .solver import (
-    EXHAUSTED,
-    SATISFIED,
-    TIMED_OUT,
-    SearchConfig,
-    SolveOutcome,
-    SearchStats,
-    brute_force,
-    decide,
-)
+from .reduction import parse_dimacs, reduce_formula
+from .solver import EXHAUSTED, SATISFIED, TIMED_OUT, SearchConfig, SearchStats, decide
 from .gadget import GadgetSpec, build_gadget
 from .verifysuite import DEFAULT_SEED, FAIL, SEEDED_SUITES, run_single_rigidity, run_suite
 
@@ -83,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--delta", type=_bound, required=True)
     p_solve.add_argument("--timeout", type=float, default=None, metavar="SECS")
     p_solve.add_argument("--nodes", type=int, default=None, metavar="N")
-    p_solve.add_argument("--brute-force", action="store_true",
-                         help="use full permutation enumeration instead of the search")
     p_solve.add_argument("--json", action="store_true")
 
     p_gadget = sub.add_parser("gadget", help="emit a column-rigidity gadget as a matrix file")
@@ -101,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--theorem", type=int, choices=(2, 3), required=True)
     p_reduce.add_argument("--k", type=int, required=True)
     p_reduce.add_argument("--delta", type=int, default=None)
-    p_reduce.add_argument("--variant", choices=(VARIANT_LITERAL, VARIANT_REPAIRED),
-                          default=None, help=f"Theorem-2 family only (default {VARIANT_REPAIRED})")
     p_reduce.add_argument("--legend", default=None, metavar="PATH",
                           help="write a JSON column-role sidecar")
     p_reduce.add_argument("-o", "--output", default=None)
@@ -175,22 +161,11 @@ def _outcome_exit(status: str) -> int:
 
 
 def _cmd_solve(args) -> int:
-    limits = [v for v in (args.timeout, args.nodes) if v is not None]
-    if not all(v >= 0 for v in limits):
+    if not all(v is None or v >= 0 for v in (args.timeout, args.nodes)):
         raise _CliError("--timeout and --nodes must be >= 0")
-    if args.brute_force and limits:
-        raise _CliError("--brute-force enumerates every ordering; omit --timeout and --nodes")
     matrix = parse_matrix(_read(args.matrix))
-    spec = GapSpec(args.k, args.delta)
-    if args.brute_force:
-        t0 = time.monotonic()
-        report = brute_force(matrix, spec)
-        witness = report.witnesses[0] if report.witnesses else None
-        status = SATISFIED if report.valid_count else EXHAUSTED
-        outcome = SolveOutcome(status, witness, SearchStats(0, time.monotonic() - t0, {}))
-    else:
-        config = SearchConfig(timeout_seconds=args.timeout, node_limit=args.nodes)
-        outcome = decide(matrix, spec, config)
+    config = SearchConfig(timeout_seconds=args.timeout, node_limit=args.nodes)
+    outcome = decide(matrix, GapSpec(args.k, args.delta), config)
     if args.json:
         print(json.dumps({
             "status": outcome.status,
@@ -209,6 +184,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
+    if args.n < 1:
+        raise _CliError("--n must be positive")
     if args.columns is not None:
         try:
             target = tuple(int(t) for t in args.columns.replace(",", " ").split())
@@ -220,14 +197,14 @@ def _cmd_gadget(args) -> int:
         target = tuple(range(1, args.n + 1))
     rows = build_gadget(GadgetSpec(target, args.delta, force=args.force))
     matrix = BinaryMatrix(max(target), rows)
-    _write(args.output, serialize_matrix(matrix, SPARSE))
+    _write(args.output, serialize_matrix(matrix))
     return EXIT_HOLDS
 
 
 def _cmd_reduce(args) -> int:
     cnf = parse_dimacs(_read(args.cnf))
-    output = reduce_formula(cnf, args.theorem, args.k, args.delta, args.variant)
-    _write(args.output, serialize_matrix(output.matrix, SPARSE))
+    output = reduce_formula(cnf, args.theorem, args.k, args.delta)
+    _write(args.output, serialize_matrix(output.matrix))
     if args.legend is not None:
         params = output.params
         legend = {
@@ -237,7 +214,6 @@ def _cmd_reduce(args) -> int:
             "d": params.d,
             "num_vars": params.num_vars,
             "num_clauses": params.num_clauses,
-            "variant": params.variant,
             "num_columns": output.matrix.num_columns,
             "num_rows": output.matrix.num_rows,
             "columns": [
@@ -264,8 +240,13 @@ def _cmd_verify(args) -> int:
         if args.seed is not None:
             raise _CliError("--seed draws the solver suite's corpus; a gadget case has none")
         k = 2 if args.k is None else args.k
-        GapSpec(k, args.delta)  # a bad bound is a usage error, not a failed case
-        results = [run_single_rigidity(args.n, args.delta, k, args.extra or 0)]
+        extra = args.extra or 0
+        # Bad arguments are usage errors, not failed cases.
+        GapSpec(k, args.delta)
+        if args.n < 2 or extra < 0 or args.n + extra > ENUMERATION_CAP:
+            raise _CliError(f"a gadget case needs --n >= 2, --extra >= 0 and "
+                            f"n + extra <= {ENUMERATION_CAP} columns")
+        results = [run_single_rigidity(args.n, args.delta, k, extra)]
     else:
         results = run_suite(args.suite, args.seed)
     if args.json:

@@ -48,7 +48,7 @@ class RigidityReport:
     counterexample: ColumnOrdering | None
 
 
-def gadget_row_count(n: int, delta: int, force: bool = False) -> int:
+def gadget_row_count(n: int, delta: int) -> int:
     """Closed-form number of gadget rows: n*(delta+1) - delta*(delta+3)/2 - 1.
 
     Equals the number of position pairs a < b with b - a <= delta + 1 among
@@ -56,7 +56,7 @@ def gadget_row_count(n: int, delta: int, force: bool = False) -> int:
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    if not force and n < 2 * delta + 3:
+    if n < 2 * delta + 3:
         raise ValueError(f"n={n} breaks the hypothesis n >= 2*delta+3")
     return n * (delta + 1) - (delta * (delta + 3)) // 2 - 1
 

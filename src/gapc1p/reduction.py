@@ -18,8 +18,8 @@ clause block -- and four distinct columns cannot all do that.
 
 The printed templates this follows contain several arithmetic glitches; the
 deviations adopted here are listed in ``DEVIATIONS`` and documented in
-REPAIRS.md, and the ``repaired`` variant is validated empirically by
-``verify_reduction`` against brute-force oracles on both sides.
+REPAIRS.md, and the generated instances are validated empirically by
+``verify_reduction`` against exhaustive oracles on both sides.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from typing import Mapping, Sequence
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, first_violating_row
 from .gadget import GadgetSpec, build_gadget
 from .solver import SATISFIED, TIMED_OUT, SearchConfig, SolveOutcome, decide
-
-VARIANT_LITERAL = "literal"
-VARIANT_REPAIRED = "repaired"
 
 ROLE_VARIABLE = "variable"
 ROLE_SEPARATOR = "separator"
@@ -85,7 +82,6 @@ class ReductionParams:
     d: int
     num_vars: int
     num_clauses: int
-    variant: str
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,6 @@ class EquivalenceReport:
     formula_satisfiable: bool | None
     matrix_decision: str
     agree: bool | None
-    variant: str
     outcome: SolveOutcome
 
 
@@ -131,8 +126,8 @@ DEVIATIONS: tuple[tuple[str, str, str], ...] = (
            "into one run from offset 2k-5 through d", "criterion 6"),
     ("R6", "negative literals use the left column of the variable block and "
            "omit the right one", "criteria 6 and 7"),
-    ("R7", "the gapped family's repaired variant widens the separator to "
-           "max{2k, 2*delta+3} so the rigidity hypothesis holds", "criterion 7"),
+    ("R7", "the gapped family widens the printed separator width max{2k, 5} "
+           "to max{2k, 2*delta+3} so the rigidity hypothesis holds", "criterion 7"),
     ("R8", "printed index sequences are clamped to the separator range and "
            "emptied when their bounds cross", "criteria 6 and 7"),
     ("R9", "the gapped family emits 4 rows per clause (nesting plus three "
@@ -326,7 +321,6 @@ def _build(
     d: int,
     width: int,
     tail_start: int,
-    variant: str,
 ) -> ReductionOutput:
     n, m = cnf.num_vars, len(cnf.clauses)
     sep = 2 * n
@@ -337,7 +331,7 @@ def _build(
     )
     separator_order = tuple(sep + t for t in range(1, d + 1))
     rows: list[tuple[int, ...]] = list(
-        build_gadget(GadgetSpec(separator_order, delta, force=True))
+        build_gadget(GadgetSpec(separator_order, delta))
     )
     rows.extend(_variable_row(i, n, k, sep) for i in range(1, n + 1))
     rows.extend(_nesting_row(j, k, d, sep, blocks) for j in range(1, m + 1))
@@ -346,7 +340,7 @@ def _build(
         for slot, lit in enumerate(clause, start=2):
             rows.append(_literal_row(lit, j, slot, n, k, d, sep, blocks, tail_start))
     matrix = BinaryMatrix(num_columns, tuple(rows))
-    params = ReductionParams(theorem, k, delta, d, n, m, variant)
+    params = ReductionParams(theorem, k, delta, d, n, m)
     return ReductionOutput(matrix, _legend(n, d, blocks), cnf, params, blocks, first_literal_row)
 
 
@@ -356,58 +350,41 @@ def reduce_theorem3(cnf3: Cnf, k: int) -> ReductionOutput:
         raise ValueError("this family requires k >= 3")
     _require_exact3(cnf3)
     d = max(2 * k, 5)
-    return _build(cnf3, 3, k, 1, d, width=4, tail_start=2 * k - 5, variant=VARIANT_REPAIRED)
+    return _build(cnf3, 3, k, 1, d, width=4, tail_start=2 * k - 5)
 
 
-def reduce_theorem2(
-    cnf3: Cnf,
-    k: int,
-    delta: int,
-    variant: str = VARIANT_REPAIRED,
-) -> ReductionOutput:
+def reduce_theorem2(cnf3: Cnf, k: int, delta: int) -> ReductionOutput:
     """Instance family for the jointly gapped bound (k >= 2, delta >= 2).
 
-    The repaired variant widens the separator to max{2k, 2*delta+3} so the
-    rigidity gadget's hypothesis holds; the literal variant keeps the printed
-    width max{2k, 5} for fidelity experiments.
+    The separator is max{2k, 2*delta+3} wide, not the printed max{2k, 5}, so
+    the rigidity gadget's hypothesis holds (REPAIRS.md R7).
     """
     if k < 2:
         raise ValueError("this family requires k >= 2")
     if delta < 2:
         raise ValueError("this family requires delta >= 2; use the k >= 3 "
                          "family for delta = 1")
-    if variant not in (VARIANT_LITERAL, VARIANT_REPAIRED):
-        raise ValueError(f"unknown variant {variant!r}")
     _require_exact3(cnf3)
-    d = max(2 * k, 5) if variant == VARIANT_LITERAL else max(2 * k, 2 * delta + 3)
-    return _build(cnf3, 2, k, delta, d, width=5, tail_start=2 * k - 3, variant=variant)
+    d = max(2 * k, 2 * delta + 3)
+    return _build(cnf3, 2, k, delta, d, width=5, tail_start=2 * k - 3)
 
 
-def reduce_formula(
-    cnf: Cnf,
-    theorem: int,
-    k: int,
-    delta: int | None = None,
-    variant: str | None = None,
-) -> ReductionOutput:
+def reduce_formula(cnf: Cnf, theorem: int, k: int, delta: int | None = None) -> ReductionOutput:
     """The instance of one theorem's family for any CNF, normalized by ``to_exact3``.
 
-    Theorem 3 picks the block-count family, which is defined at delta = 1
-    and has no variants; theorem 2 picks the gapped family, which needs a
-    delta and defaults to the repaired variant.  Anything the chosen family
-    would ignore is rejected.
+    Theorem 3 picks the block-count family, which is defined at delta = 1;
+    theorem 2 picks the gapped family, which needs a delta.  A delta the
+    chosen family would ignore is rejected.
     """
     cnf3 = to_exact3(cnf)
     if theorem == 3:
         if delta not in (None, 1):
             raise ValueError("the block-count family (theorem 3) is defined at delta = 1")
-        if variant is not None:
-            raise ValueError("a variant selects a gapped family; use theorem 2")
         return reduce_theorem3(cnf3, k)
     if theorem == 2:
         if delta is None:
             raise ValueError("the gapped family (theorem 2) needs a delta")
-        return reduce_theorem2(cnf3, k, delta, variant or VARIANT_REPAIRED)
+        return reduce_theorem2(cnf3, k, delta)
     raise ValueError(f"theorem must be 2 or 3, got {theorem}")
 
 
@@ -469,17 +446,16 @@ def verify_reduction(
     k: int,
     delta: int | None = None,
     config: SearchConfig | None = None,
-    variant: str | None = None,
 ) -> EquivalenceReport:
     """Check formula satisfiability against the generated matrix's decision.
 
-    The instance is ``reduce_formula(cnf, theorem, k, delta, variant)``.
+    The instance is ``reduce_formula(cnf, theorem, k, delta)``.
     Runs the exhaustive SAT oracle on one side and the complete ordering
     search on the other; for satisfiable formulas the explicit witness
     construction is validated end to end.  A timed-out search leaves the
     agreement unknown.
     """
-    output = reduce_formula(cnf, theorem, k, delta, variant)
+    output = reduce_formula(cnf, theorem, k, delta)
     outcome = decide(output.matrix, GapSpec(k, output.params.delta), config)
     # Some satisfying assignments may not admit the canonical layout (the
     # gapped family tolerates at most one falsified occurrence per clause),
@@ -501,6 +477,4 @@ def verify_reduction(
         agree = None
     else:
         agree = formula_satisfiable == (outcome.status == SATISFIED)
-    return EquivalenceReport(
-        formula_satisfiable, outcome.status, agree, output.params.variant, outcome
-    )
+    return EquivalenceReport(formula_satisfiable, outcome.status, agree, outcome)

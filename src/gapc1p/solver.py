@@ -182,7 +182,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         if allowed & bit_last and unplaced & bit_first:
             # Only explore prefixes placing column 1 before column n_cols
             # (distinct columns: a work row has two ones); sound because
-            # validity is invariant under reversal.
+            # the reversal of a valid ordering is valid.
             allowed ^= bit_last
             if allowed == 0:
                 prunes["symmetry"] += 1

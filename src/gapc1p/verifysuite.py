@@ -9,20 +9,13 @@ reproducible.
 from __future__ import annotations
 
 import random
-import re
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering
 from .gadget import GadgetSpec, build_gadget, gadget_row_count, verify_rigidity
-from .reduction import (
-    DEVIATIONS,
-    VARIANT_REPAIRED,
-    Cnf,
-    verify_reduction,
-)
+from .reduction import Cnf, verify_reduction
 from .solver import SATISFIED, brute_force, classic_c1p, decide
 
 DEFAULT_SEED = 212121
@@ -185,7 +178,6 @@ def case_theorem2_satisfiable() -> CaseResult:
     def body() -> str:
         rep = verify_reduction(Cnf(1, ((1, 1, 1),)), 2, 2, 2)
         assert rep.agree and rep.formula_satisfiable, f"{rep}"
-        assert rep.variant == VARIANT_REPAIRED
         return "14-column instance satisfiable; witness validated end to end"
 
     return _run_case("C7", "gapped reduction at k=delta=2, satisfiable side", 600.0, body)
@@ -202,48 +194,6 @@ def case_theorem2_stretch() -> CaseResult:
         return f"19-column companion exhausted in {stats.nodes_expanded} nodes"
 
     return _run_case("C7S", "gapped reduction, unsatisfiable companion (stretch)", 3600.0, body)
-
-
-def repairs_path() -> Path | None:
-    for candidate in (Path(__file__).resolve().parents[2] / "REPAIRS.md",
-                      Path.cwd() / "REPAIRS.md"):
-        if candidate.is_file():
-            return candidate
-    return None
-
-
-_LEDGER_HEADING = re.compile(r"^## (R\d+) - ", re.MULTILINE)
-
-
-def ledger_problems(text: str) -> list[str]:
-    """Where a REPAIRS.md text disagrees with ``DEVIATIONS``; empty when it agrees.
-
-    The ``## R<n> - `` headings must be exactly the deviation ids, and each
-    section must name every criterion (``C<n>``) its deviation lists.
-    """
-    parts = _LEDGER_HEADING.split(text)
-    sections = dict(zip(parts[1::2], parts[2::2]))
-    expected = {dev_id for dev_id, _, _ in DEVIATIONS}
-    problems = []
-    if set(sections) != expected:
-        problems.append(f"headings missing {sorted(expected - set(sections))}, "
-                        f"unexpected {sorted(set(sections) - expected)}")
-    for dev_id, _, criteria in DEVIATIONS:
-        for num in re.findall(r"\d+", criteria):
-            if dev_id in sections and not re.search(rf"\bC{num}\b", sections[dev_id]):
-                problems.append(f"{dev_id} does not name criterion C{num}")
-    return problems
-
-
-def case_repairs_ledger() -> CaseResult:
-    def body() -> str:
-        path = repairs_path()
-        assert path is not None, "REPAIRS.md not found next to the package"
-        problems = ledger_problems(path.read_text())
-        assert not problems, "; ".join(problems)
-        return f"{len(DEVIATIONS)} deviations documented with their criteria"
-
-    return _run_case("C8", "construction-fidelity ledger coverage", 5.0, body)
 
 
 def case_collapse_and_reversal(seed: int) -> CaseResult:
@@ -301,7 +251,6 @@ def run_suite(suite: str, seed: int | None = None) -> list[CaseResult]:
         results.append(case_theorem3_equivalence())
         results.append(case_theorem2_satisfiable())
         results.append(case_theorem2_stretch())
-        results.append(case_repairs_ledger())
     return results
 
 

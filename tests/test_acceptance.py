@@ -1,10 +1,17 @@
 """Acceptance suite: one test per verification criterion.
 
-Each criterion runs through the same case functions as the CLI
-(`gapc1p verify --suite all`) and prints a single pass/fail line with its
-elapsed time.  Budgets are enforced inside the cases themselves.
+Each criterion prints a single pass/fail line.  All but C8 run through the
+same case functions as the CLI (`gapc1p verify --suite all`), with their
+elapsed time; budgets are enforced inside the cases themselves.
 """
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from gapc1p.reduction import DEVIATIONS
 from gapc1p.verifysuite import (
     DEFAULT_SEED,
     PASS,
@@ -12,16 +19,16 @@ from gapc1p.verifysuite import (
     case_classic_agreement,
     case_collapse_and_reversal,
     case_embedded_rigidity,
-    case_repairs_ledger,
     case_rigidity,
     case_row_count_identity,
     case_solver_oracle,
     case_theorem2_satisfiable,
     case_theorem2_stretch,
     case_theorem3_equivalence,
-    ledger_problems,
-    repairs_path,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+REPAIRS = ROOT / "REPAIRS.md"
 
 
 def report(result: CaseResult) -> None:
@@ -65,12 +72,41 @@ def test_criterion_7_stretch_theorem2_unsatisfiable_companion():
     report(case_theorem2_stretch())
 
 
+# Criterion 8 compares two files of the repository, REPAIRS.md and
+# ``DEVIATIONS``, so it runs here and not in `gapc1p verify`.
+_LEDGER_HEADING = re.compile(r"^## (R\d+) - ", re.MULTILINE)
+
+
+def ledger_problems(text: str) -> list[str]:
+    """Where a REPAIRS.md text disagrees with ``DEVIATIONS``; empty when it agrees.
+
+    The ``## R<n> - `` headings must be exactly the deviation ids, and each
+    section must name every criterion (``C<n>``) its deviation lists.
+    """
+    parts = _LEDGER_HEADING.split(text)
+    sections = dict(zip(parts[1::2], parts[2::2]))
+    expected = {dev_id for dev_id, _, _ in DEVIATIONS}
+    problems = []
+    if set(sections) != expected:
+        problems.append(f"headings missing {sorted(expected - set(sections))}, "
+                        f"unexpected {sorted(set(sections) - expected)}")
+    for dev_id, _, criteria in DEVIATIONS:
+        for num in re.findall(r"\d+", criteria):
+            if dev_id in sections and not re.search(rf"\bC{num}\b", sections[dev_id]):
+                problems.append(f"{dev_id} does not name criterion C{num}")
+    return problems
+
+
 def test_criterion_8_construction_fidelity_ledger():
-    report(case_repairs_ledger())
+    assert REPAIRS.is_file(), "REPAIRS.md not found at the repository root"
+    problems = ledger_problems(REPAIRS.read_text())
+    assert not problems, "; ".join(problems)
+    print(f"[C8] PASS construction-fidelity ledger coverage - "
+          f"{len(DEVIATIONS)} deviations documented with their criteria")
 
 
 def test_criterion_8_ledger_check_rejects_incomplete_ledgers():
-    text = repairs_path().read_text()
+    text = REPAIRS.read_text()
     assert ledger_problems(text) == []
     # Dropping the R1 section must fail even though "R10" still contains "R1".
     start = text.index("## R1 - ")
@@ -86,3 +122,20 @@ def test_criterion_8_ledger_check_rejects_incomplete_ledgers():
 
 def test_criterion_9_collapse_and_reversal_invariants():
     report(case_collapse_and_reversal(DEFAULT_SEED))
+
+
+def test_reduction_suite_runs_from_an_installed_copy(tmp_path):
+    # A copy of the package alone, away from the checkout and its REPAIRS.md.
+    site = tmp_path / "site"
+    site.mkdir()
+    package = ROOT / "src" / "gapc1p"
+    (site / "gapc1p").mkdir()
+    for source in package.glob("*.py"):
+        (site / "gapc1p" / source.name).write_text(source.read_text())
+    run = subprocess.run(
+        [sys.executable, "-m", "gapc1p.cli", "verify", "--suite", "reduction"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(site)}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "3 cases: 3 passed, 0 failed" in run.stdout

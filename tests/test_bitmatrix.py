@@ -1,13 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapc1p import (
-    DENSE,
     GAP_TOO_LARGE,
-    SPARSE,
     TOO_MANY_BLOCKS,
     BinaryMatrix,
     ColumnOrdering,
@@ -39,13 +38,6 @@ def random_ordering(rng, n):
 
 
 class TestParsing:
-    def test_sparse_and_dense_parse_to_equal_matrices(self):
-        sparse = parse_matrix("2 3\n1 2\n3\n", SPARSE)
-        dense = parse_matrix("2 3\n110\n001\n", DENSE)
-        assert sparse == dense
-        assert sparse.num_columns == 3
-        assert sparse.rows == ((1, 2), (3,))
-
     def test_index_out_of_range(self):
         with pytest.raises(MatrixFormatError, match="exceeds 2"):
             parse_matrix("1 2\n3\n")
@@ -59,19 +51,28 @@ class TestParsing:
             parse_matrix("3\n")
 
     def test_dense_rejects_other_characters(self):
-        with pytest.raises(MatrixFormatError, match="non-0/1"):
-            parse_matrix("1 3\n1x0\n", DENSE)
+        # A 0/1 row is not read as indices, whatever its characters.
+        with pytest.raises(MatrixFormatError, match="bad index '1x0'"):
+            parse_matrix("1 3\n1x0\n")
 
     def test_error_reports_line_number(self):
         with pytest.raises(MatrixFormatError, match="line 3"):
             parse_matrix("2 2\n1\n7\n")
 
     def test_sparse_rejects_leading_zeros(self):
-        # A dense row read as sparse indices: "0011" is not column 11.
-        for row in ("0011", " 07", "1\t010", "3 00"):
-            with pytest.raises(MatrixFormatError, match="line 2: index with a leading zero"):
+        # A 0/1 row read as indices: "0011" is not column 11.  int() would
+        # also read "1_0" as 10, "+07" as 7 and Arabic-Indic "١٢" as 12.
+        for row, token in (("0011", "0011"), (" 07", "07"), ("1\t010", "010"),
+                           ("3 00", "00"), ("0", "0"), ("1_0", "1_0"), ("2 +07", "+07"),
+                           ("-3", "-3"), ("\u0661\u0662", "\u0661\u0662")):
+            with pytest.raises(MatrixFormatError,
+                               match=f"line 2: bad index {re.escape(repr(token))}"):
                 parse_matrix(f"1 12\n{row}\n")
+            with pytest.raises(MatrixFormatError,
+                               match=f"ordering: bad index {re.escape(repr(token))}"):
+                parse_ordering(f"{row} 1\n", 2)
         assert parse_matrix("1 12\n10 1 12\n").rows == ((1, 10, 12),)
+        assert parse_matrix("1 12\n\t10\u00a01  12 \n").rows == ((1, 10, 12),)
 
     def test_empty_row_line(self):
         m = parse_matrix("2 2\n\n1 2\n")
@@ -81,15 +82,13 @@ class TestParsing:
         rng = random.Random(7)
         for _ in range(50):
             m = random_matrix(rng)
-            for fmt in (SPARSE, DENSE):
-                assert parse_matrix(serialize_matrix(m, fmt), fmt) == m
+            assert parse_matrix(serialize_matrix(m)) == m
 
     def test_serialize_examples(self):
         m = BinaryMatrix(3, ((1, 2), (3,)))
-        assert serialize_matrix(m, SPARSE) == "2 3\n1 2\n3\n"
-        assert serialize_matrix(m, DENSE) == "2 3\n110\n001\n"
+        assert serialize_matrix(m) == "2 3\n1 2\n3\n"
         empty_row = BinaryMatrix(2, ((),))
-        assert serialize_matrix(empty_row, SPARSE) == "1 2\n\n"
+        assert serialize_matrix(empty_row) == "1 2\n\n"
 
     def test_ordering_file_round_trip(self):
         o = ColumnOrdering((2, 3, 1))
@@ -280,9 +279,9 @@ def matrices(draw) -> BinaryMatrix:
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(matrices(), st.sampled_from((SPARSE, DENSE)))
-def test_serialize_parse_round_trip(m, fmt):
-    assert parse_matrix(serialize_matrix(m, fmt), fmt) == m
+@given(matrices())
+def test_serialize_parse_round_trip(m):
+    assert parse_matrix(serialize_matrix(m)) == m
 
 
 @st.composite

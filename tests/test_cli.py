@@ -103,23 +103,9 @@ class TestSolve:
                      "--k", "2", "--delta", "1"]) == 0
 
     def test_brute_force_flag(self, triple):
+        # `brute_force` is the library oracle; `solve` runs the search only.
         assert main(["solve", "--matrix", str(triple), "--k", "1", "--delta", "0",
-                     "--brute-force"]) == 1
-
-    def test_brute_force_reports_no_prunes(self, triple, capsys):
-        assert main(["solve", "--matrix", str(triple), "--k", "2", "--delta", "1",
-                     "--brute-force", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["stats"]["prunes"] == {}
-
-    def test_brute_force_reports_its_time(self, all_pairs, capsys):
-        assert main(["solve", "--matrix", str(all_pairs), "--k", "2", "--delta", "1",
-                     "--brute-force", "--json"]) == 1
-        assert json.loads(capsys.readouterr().out)["stats"]["elapsed_seconds"] > 0
-
-    def test_brute_force_takes_no_search_limits(self, triple):
-        for limit in (["--nodes", "1"], ["--timeout", "0"]):
-            assert main(["solve", "--matrix", str(triple), "--k", "2", "--delta", "1",
-                         "--brute-force", *limit]) == 3
+                     "--brute-force"]) == 3
 
     def test_negative_limits_are_usage_errors(self, triple):
         # The deadline is read only every 1,024 nodes, so a negative timeout
@@ -195,6 +181,10 @@ class TestGadget:
         assert main(["gadget", "--n", "4", "--delta", "1"]) == 3
         assert main(["gadget", "--n", "4", "--delta", "1", "--force"]) == 0
 
+    def test_empty_gadget_is_a_usage_error(self, capsys):
+        assert main(["gadget", "--n", "0", "--delta", "0", "--force"]) == 3
+        assert "--n must be positive" in capsys.readouterr().err
+
     def test_rigidity_check_lives_in_verify(self):
         # `verify --suite gadget --n --delta [--k]` is the one rigidity check;
         # the gadget's rows do not depend on k.
@@ -223,26 +213,29 @@ class TestReduce:
         roles = {c["column"]: c["role"] for c in payload["columns"]}
         assert roles[1] == "variable" and roles[3] == "separator" and roles[12] == "clause"
 
-    def test_theorem2_variants_differ_in_width(self, tmp_path, capsys):
+    def test_theorem2_instance_has_one_width(self, tmp_path, capsys):
+        # The separator is max{2k, 2*delta+3} = 7 wide (REPAIRS.md R7); the
+        # printed width max{2k, 5} is not offered.
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
+        legend = tmp_path / "legend.json"
         assert main(["reduce", "--cnf", str(cnf), "--theorem", "2", "--k", "2",
-                     "--delta", "2"]) == 0
-        repaired = parse_matrix(capsys.readouterr().out)
-        assert main(["reduce", "--cnf", str(cnf), "--theorem", "2", "--k", "2",
-                     "--delta", "2", "--variant", "literal"]) == 0
-        literal = parse_matrix(capsys.readouterr().out)
-        assert repaired.num_columns == 14
-        assert literal.num_columns == 12
+                     "--delta", "2", "--legend", str(legend)]) == 0
+        assert parse_matrix(capsys.readouterr().out).num_columns == 14
+        assert json.loads(legend.read_text())["d"] == 7
 
-    def test_variant_is_a_theorem2_option(self, tmp_path):
+    def test_variant_is_not_an_option(self, tmp_path):
+        # One Theorem-2 construction, so neither theorem takes --variant and
+        # the legend names no variant.
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
-        assert main(["reduce", "--cnf", str(cnf), "--theorem", "3", "--k", "3",
-                     "--variant", "literal"]) == 3
+        for theorem in (["--theorem", "2", "--k", "2", "--delta", "2"],
+                        ["--theorem", "3", "--k", "3"]):
+            assert main(["reduce", "--cnf", str(cnf), *theorem,
+                         "--variant", "literal"]) == 3
         legend = tmp_path / "legend.json"
         assert main(["reduce", "--cnf", str(cnf), "--theorem", "2", "--k", "2",
                      "--delta", "2", "-o", str(tmp_path / "m.txt"),
                      "--legend", str(legend)]) == 0
-        assert json.loads(legend.read_text())["variant"] == "repaired"
+        assert "variant" not in json.loads(legend.read_text())
 
     def test_theorem3_is_defined_at_delta_one(self, tmp_path):
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
@@ -295,8 +288,16 @@ class TestVerify:
         assert main(["verify", "--suite", "reduction", "--no-stretch"]) == 3
         assert main(["verify", "--suite", "reduction", "--json"]) == 0
         cases = json.loads(capsys.readouterr().out)["cases"]
-        assert [c["id"] for c in cases] == ["C6", "C7", "C7S", "C8"]
+        assert [c["id"] for c in cases] == ["C6", "C7", "C7S"]
         assert cases[2]["status"] == "pass" and "18 nodes" in cases[2]["detail"]
+
+    def test_bad_gadget_case_is_a_usage_error(self, capsys):
+        # Arguments no rigidity check can take are rejected, not failed cases.
+        base = ["verify", "--suite", "gadget", "--delta", "1"]
+        for case in (["--n", "11"], ["--n", "5", "--extra", "-1"], ["--n", "1"],
+                     ["--n", "8", "--extra", "3"]):
+            assert main([*base, *case]) == 3
+            assert "a gadget case needs" in capsys.readouterr().err
 
     def test_extra_selects_a_single_case(self, capsys):
         assert main(["verify", "--suite", "gadget", "--extra", "3"]) == 3
@@ -334,6 +335,9 @@ class TestUsage:
         # Every option changes a result; adding one back is a deliberate change here.
         parser = build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = [a for sub in commands.choices.values() for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        assert len(actions) == 29  # -o and --output are one option
         options = {
             name: {s for a in sub._actions if not isinstance(a, argparse._HelpAction)
                    for s in a.option_strings}
@@ -341,10 +345,8 @@ class TestUsage:
         }
         assert options == {
             "check": {"--matrix", "--order", "--k", "--delta", "--json"},
-            "solve": {"--matrix", "--k", "--delta", "--timeout", "--nodes", "--brute-force",
-                      "--json"},
+            "solve": {"--matrix", "--k", "--delta", "--timeout", "--nodes", "--json"},
             "gadget": {"--n", "--delta", "--columns", "--force", "-o", "--output"},
-            "reduce": {"--cnf", "--theorem", "--k", "--delta", "--variant", "--legend",
-                       "-o", "--output"},
+            "reduce": {"--cnf", "--theorem", "--k", "--delta", "--legend", "-o", "--output"},
             "verify": {"--suite", "--seed", "--json", "--n", "--delta", "--k", "--extra"},
         }

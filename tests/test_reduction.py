@@ -6,8 +6,6 @@ import pytest
 from gapc1p import (
     EXHAUSTED,
     SATISFIED,
-    VARIANT_LITERAL,
-    VARIANT_REPAIRED,
     Cnf,
     ColumnOrdering,
     DimacsFormatError,
@@ -200,11 +198,14 @@ class TestTheorem2Shape:
         assert out.matrix.num_columns == 14
         assert out.matrix.num_rows == 20
 
-    def test_literal_variant_counts(self):
-        out = reduce_theorem2(cnf_over(1, (1, 1, 1)), 2, 2, variant=VARIANT_LITERAL)
-        assert out.params.d == 5
-        assert out.matrix.num_columns == 12
-        assert out.matrix.num_rows == 14
+    def test_every_separator_meets_the_rigidity_hypothesis(self):
+        # _build checks d >= 2*delta+3 through GadgetSpec for each instance.
+        f = cnf_over(1, (1, 1, 1))
+        for k in range(2, 9):
+            for delta in range(2, 9):
+                assert reduce_theorem2(f, k, delta).params.d == max(2 * k, 2 * delta + 3)
+            if k >= 3:
+                assert reduce_theorem3(f, k).params.d == max(2 * k, 5)
 
     def test_delta_one_belongs_to_other_family(self):
         with pytest.raises(ValueError):
@@ -231,15 +232,11 @@ class TestReduceFormula:
         assert reduce_formula(phi, 3, 3) == reduce_theorem3(to_exact3(phi), 3)
         assert reduce_formula(phi, 3, 3, delta=1) == reduce_theorem3(to_exact3(phi), 3)
         assert reduce_formula(phi, 2, 2, 2) == reduce_theorem2(to_exact3(phi), 2, 2)
-        literal = reduce_formula(phi, 2, 2, 2, VARIANT_LITERAL)
-        assert literal == reduce_theorem2(to_exact3(phi), 2, 2, VARIANT_LITERAL)
 
     def test_rejects_what_the_family_ignores(self):
         phi = cnf_over(1, (1, 1, 1))
         with pytest.raises(ValueError, match="delta = 1"):
             verify_reduction(phi, 3, 3, delta=5)
-        with pytest.raises(ValueError, match="variant"):
-            verify_reduction(phi, 3, 3, variant=VARIANT_LITERAL)
         with pytest.raises(ValueError, match="needs a delta"):
             reduce_formula(phi, 2, 2)
         with pytest.raises(ValueError, match="theorem must be 2 or 3"):
@@ -349,7 +346,6 @@ class TestEquivalence:
     def test_theorem2_repaired_criterion_instance(self):
         rep = verify_reduction(cnf_over(1, (1, 1, 1)), 2, 2, 2)
         assert rep.agree and rep.formula_satisfiable
-        assert rep.variant == VARIANT_REPAIRED
         assert rep.matrix_decision == SATISFIED
 
     def test_theorem2_uniform_truth_corpus(self):
