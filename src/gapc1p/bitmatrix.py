@@ -255,7 +255,17 @@ def apply_ordering(matrix: BinaryMatrix, ordering: ColumnOrdering) -> BinaryMatr
 # row).  Ordering file: one line of num_cols space-separated column indices
 # (the forward map).  An index token is [1-9][0-9]*: no sign, no leading zero
 # (a 0/1 row such as "0011" must not be read as column 11), no underscore and
-# no non-ASCII digit, all of which int() would accept.
+# no non-ASCII digit, all of which int() would accept.  Other numbers read
+# from outside (header, DIMACS, CLI) go through strict_int.
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def strict_int(text: str) -> int:
+    """int(text) for an optional '-' then ASCII digits: no '+', '_', space or other digit."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _parse_header(line: str) -> tuple[int, int]:
@@ -263,7 +273,7 @@ def _parse_header(line: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise MatrixFormatError(f"line 1: malformed header {line!r}")
     try:
-        num_rows, num_cols = int(parts[0]), int(parts[1])
+        num_rows, num_cols = strict_int(parts[0]), strict_int(parts[1])
     except ValueError:
         raise MatrixFormatError(f"line 1: malformed header {line!r}") from None
     if num_rows < 0 or num_cols < 1:

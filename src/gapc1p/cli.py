@@ -24,10 +24,11 @@ from .bitmatrix import (
     parse_ordering,
     serialize_matrix,
     serialize_ordering,
+    strict_int,
 )
 from .reduction import parse_dimacs, reduce_formula
 from .solver import EXHAUSTED, SATISFIED, TIMED_OUT, SearchConfig, SearchStats, decide
-from .gadget import GadgetSpec, build_gadget
+from .gadget import build_gadget
 from .verifysuite import DEFAULT_SEED, FAIL, SEEDED_SUITES, run_single_rigidity, run_suite
 
 EXIT_HOLDS = 0
@@ -51,7 +52,7 @@ def _bound(text: str) -> int | None:
     if text.lower() == "inf":
         return None
     try:
-        return int(text)
+        return strict_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}")
 
@@ -72,23 +73,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--k", type=_bound, required=True)
     p_solve.add_argument("--delta", type=_bound, required=True)
     p_solve.add_argument("--timeout", type=float, default=None, metavar="SECS")
-    p_solve.add_argument("--nodes", type=int, default=None, metavar="N")
+    p_solve.add_argument("--nodes", type=strict_int, default=None, metavar="N")
     p_solve.add_argument("--json", action="store_true")
 
     p_gadget = sub.add_parser("gadget", help="emit a column-rigidity gadget as a matrix file")
-    p_gadget.add_argument("--n", type=int, required=True)
-    p_gadget.add_argument("--delta", type=int, required=True)
+    p_gadget.add_argument("--n", type=strict_int, required=True)
+    p_gadget.add_argument("--delta", type=strict_int, required=True)
     p_gadget.add_argument("--columns", default=None,
                           help="comma-separated target order (default 1..n)")
-    p_gadget.add_argument("--force", action="store_true",
-                          help="build even when n < 2*delta+3 (rigidity not guaranteed)")
     p_gadget.add_argument("-o", "--output", default=None)
 
     p_reduce = sub.add_parser("reduce", help="generate a hardness instance from a DIMACS CNF")
     p_reduce.add_argument("--cnf", required=True)
-    p_reduce.add_argument("--theorem", type=int, choices=(2, 3), required=True)
-    p_reduce.add_argument("--k", type=int, required=True)
-    p_reduce.add_argument("--delta", type=int, default=None)
+    p_reduce.add_argument("--theorem", type=strict_int, choices=(2, 3), required=True)
+    p_reduce.add_argument("--k", type=strict_int, required=True)
+    p_reduce.add_argument("--delta", type=strict_int, default=None)
     p_reduce.add_argument("--legend", default=None, metavar="PATH",
                           help="write a JSON column-role sidecar")
     p_reduce.add_argument("-o", "--output", default=None)
@@ -96,13 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the oracle verification suites")
     p_verify.add_argument("--suite", choices=("gadget", "solver", "reduction", "all"),
                           required=True)
-    p_verify.add_argument("--seed", type=int, default=None,
+    p_verify.add_argument("--seed", type=strict_int, default=None,
                           help=f"seed of the solver cases' random corpus (default {DEFAULT_SEED})")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--delta", type=int, default=None)
-    p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--extra", type=int, default=None)
+    p_verify.add_argument("--n", type=strict_int, default=None)
+    p_verify.add_argument("--delta", type=strict_int, default=None)
+    p_verify.add_argument("--k", type=strict_int, default=None)
+    p_verify.add_argument("--extra", type=strict_int, default=None)
 
     return parser
 
@@ -184,18 +183,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    if args.n < 1:
-        raise _CliError("--n must be positive")
     if args.columns is not None:
         try:
-            target = tuple(int(t) for t in args.columns.replace(",", " ").split())
+            target = tuple(strict_int(t) for t in args.columns.replace(",", " ").split())
         except ValueError:
             raise _CliError(f"bad --columns list {args.columns!r}")
         if len(target) != args.n:
             raise _CliError(f"--columns lists {len(target)} columns but --n is {args.n}")
     else:
         target = tuple(range(1, args.n + 1))
-    rows = build_gadget(GadgetSpec(target, args.delta, force=args.force))
+    rows = build_gadget(target, args.delta)
     matrix = BinaryMatrix(max(target), rows)
     _write(args.output, serialize_matrix(matrix))
     return EXIT_HOLDS

@@ -5,40 +5,17 @@ n >= 2*delta + 3, the gadget consists of the two-one rows {C[a], C[b]} for
 every pair of positions a < b in C with b - a <= delta + 1.  In any ordering
 where every row keeps at most k >= 2 blocks and no gap above delta, the
 columns of C must then occupy consecutive positions in exactly the target
-order or its reversal.  ``verify_rigidity`` checks that claim exhaustively
-at small scale.
+order or its reversal.  ``build_gadget`` and ``gadget_row_count`` refuse an
+n below the hypothesis; ``verify_rigidity`` checks the claim exhaustively
+at small scale, undersized gadgets included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, valid_forward_maps
-
-
-@dataclass(frozen=True)
-class GadgetSpec:
-    """Target column order and gap bound for a rigidity gadget.
-
-    ``force`` permits n < 2*delta + 3, for experiments; rigidity is then not
-    guaranteed.
-    """
-
-    target_order: tuple[int, ...]
-    delta: int
-    force: bool = False
-
-    def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
-        if len(set(self.target_order)) != len(self.target_order):
-            raise ValueError("target_order contains a duplicate column")
-        n = len(self.target_order)
-        if not self.force and n < 2 * self.delta + 3:
-            raise ValueError(
-                f"n={n} breaks the rigidity hypothesis n >= 2*delta+3 = "
-                f"{2 * self.delta + 3}; pass force=True to build anyway"
-            )
 
 
 @dataclass(frozen=True)
@@ -48,28 +25,41 @@ class RigidityReport:
     counterexample: ColumnOrdering | None
 
 
+def _check_hypothesis(n: int, delta: int) -> None:
+    if delta < 0:
+        raise ValueError("delta must be nonnegative")
+    if n < 2 * delta + 3:
+        raise ValueError(f"n={n} breaks the rigidity hypothesis n >= 2*delta+3 = {2 * delta + 3}")
+
+
 def gadget_row_count(n: int, delta: int) -> int:
     """Closed-form number of gadget rows: n*(delta+1) - delta*(delta+3)/2 - 1.
 
     Equals the number of position pairs a < b with b - a <= delta + 1 among
     n columns.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if n < 2 * delta + 3:
-        raise ValueError(f"n={n} breaks the hypothesis n >= 2*delta+3")
+    _check_hypothesis(n, delta)
     return n * (delta + 1) - (delta * (delta + 3)) // 2 - 1
 
 
-def build_gadget(spec: GadgetSpec) -> tuple[tuple[int, ...], ...]:
-    """All pair rows {C[a], C[b]} with position distance at most delta + 1."""
-    order = spec.target_order
+def _pair_rows(order: Sequence[int], delta: int) -> tuple[tuple[int, ...], ...]:
     n = len(order)
     rows = []
     for a in range(n):
-        for b in range(a + 1, min(a + spec.delta + 2, n)):
+        for b in range(a + 1, min(a + delta + 2, n)):
             rows.append(tuple(sorted((order[a], order[b]))))
     return tuple(rows)
+
+
+def build_gadget(order: Sequence[int], delta: int) -> tuple[tuple[int, ...], ...]:
+    """Rows {order[a], order[b]} with b - a <= delta + 1.
+
+    ValueError unless ``order`` lists distinct columns and meets the hypothesis.
+    """
+    if len(set(order)) != len(order):
+        raise ValueError("the target order contains a duplicate column")
+    _check_hypothesis(len(order), delta)
+    return _pair_rows(order, delta)
 
 
 def verify_rigidity(
@@ -83,14 +73,15 @@ def verify_rigidity(
     Builds the gadget on columns 1..n inside a universe of n + extra_columns
     columns, enumerates every ordering, and checks that in each valid one the
     gadget columns sit consecutively in target or reversed order.  The extra
-    columns are unconstrained.  A universe of more than ``ENUMERATION_CAP``
-    columns is a ValueError.
+    columns are unconstrained, and an undersized n is checked all the same.
+    A universe of more than ``ENUMERATION_CAP`` columns is a ValueError.
     """
     if n < 2:
         raise ValueError("rigidity needs at least two selected columns")
+    if extra_columns < 0:
+        raise ValueError(f"extra_columns must be nonnegative, got {extra_columns}")
     target = tuple(range(1, n + 1))
-    rows = build_gadget(GadgetSpec(target, delta, force=True))
-    matrix = BinaryMatrix(n + extra_columns, rows)
+    matrix = BinaryMatrix(n + extra_columns, _pair_rows(target, delta))
     reversed_target = tuple(reversed(target))
     valid_count = 0
     counterexample: ColumnOrdering | None = None

@@ -5,7 +5,7 @@ formula with ``n`` variables and ``m`` clauses.  Both share one layout:
 
 * columns ``2i-1, 2i`` form the two-column block of variable ``i``;
 * a *separator* of ``d`` columns follows, carrying a rigidity gadget that
-  pins its internal order;
+  pins its internal order (``build_gadget`` checks ``d >= 2*delta + 3``);
 * one *clause block* of ``w`` columns per clause closes the matrix
   (``w = 4`` for the block-count family, ``w = 5`` for the gapped family).
 
@@ -28,8 +28,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, first_violating_row
-from .gadget import GadgetSpec, build_gadget
+from .bitmatrix import (
+    BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, first_violating_row, strict_int,
+)
+from .gadget import build_gadget
 from .solver import SATISFIED, TIMED_OUT, SearchConfig, SolveOutcome, decide
 
 ROLE_VARIABLE = "variable"
@@ -156,7 +158,7 @@ def parse_dimacs(text: str) -> Cnf:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsFormatError(f"line {lineno}: malformed problem line")
             try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
+                num_vars, num_clauses = strict_int(parts[2]), strict_int(parts[3])
             except ValueError:
                 raise DimacsFormatError(f"line {lineno}: malformed problem line") from None
             if num_vars < 0 or num_clauses < 0:
@@ -166,7 +168,7 @@ def parse_dimacs(text: str) -> Cnf:
             raise DimacsFormatError(f"line {lineno}: clause before problem line")
         for token in stripped.split():
             try:
-                lit = int(token)
+                lit = strict_int(token)
             except ValueError:
                 raise DimacsFormatError(f"line {lineno}: bad literal {token!r}") from None
             if lit == 0:
@@ -220,18 +222,13 @@ def to_exact3(cnf: Cnf) -> Cnf:
 
 
 def satisfying_assignments(cnf: Cnf):
-    """Yield every satisfying assignment, in binary counting order."""
+    """The exhaustive SAT oracle: every satisfying assignment, in binary counting order."""
     if cnf.num_vars > VAR_CAP:
         raise ValueError(f"{cnf.num_vars} variables exceeds the cap of {VAR_CAP}")
     for values in itertools.product((False, True), repeat=cnf.num_vars):
         assignment = {i + 1: values[i] for i in range(cnf.num_vars)}
         if formula_value(cnf, assignment):
             yield assignment
-
-
-def sat_brute_force(cnf: Cnf) -> dict[int, bool] | None:
-    """Exhaustive SAT oracle; returns the first satisfying assignment found."""
-    return next(satisfying_assignments(cnf), None)
 
 
 def formula_value(cnf: Cnf, assignment: Mapping[int, bool]) -> bool:
@@ -330,9 +327,7 @@ def _build(
         for j in range(1, m + 1)
     )
     separator_order = tuple(sep + t for t in range(1, d + 1))
-    rows: list[tuple[int, ...]] = list(
-        build_gadget(GadgetSpec(separator_order, delta))
-    )
+    rows: list[tuple[int, ...]] = list(build_gadget(separator_order, delta))
     rows.extend(_variable_row(i, n, k, sep) for i in range(1, n + 1))
     rows.extend(_nesting_row(j, k, d, sep, blocks) for j in range(1, m + 1))
     first_literal_row = len(rows)

@@ -34,6 +34,9 @@ SATISFIED = "satisfied"
 EXHAUSTED = "exhausted"
 TIMED_OUT = "timed_out"
 
+# How many valid orderings brute_force keeps as witnesses.
+WITNESS_CAP = 8
+
 # A search state: the unplaced-column mask; `touched`, the unplaced columns
 # sharing a row with an active row; `allowed`, the candidates the forced rule
 # leaves; five packed row integers; and the placed prefix as a linked list
@@ -295,22 +298,18 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     return SolveOutcome(SATISFIED, witness, stats)
 
 
-def brute_force(
-    matrix: BinaryMatrix,
-    spec: GapSpec,
-    witness_cap: int = 8,
-) -> ExhaustiveReport:
+def brute_force(matrix: BinaryMatrix, spec: GapSpec) -> ExhaustiveReport:
     """Enumerate all column permutations and count the valid ones.
 
-    Witnesses are collected up to ``witness_cap`` in lexicographic order of
-    the forward maps; ``valid_count`` is always exact.  More than
-    ``ENUMERATION_CAP`` columns is a ValueError.
+    The first ``WITNESS_CAP`` valid orderings, in lexicographic order of the
+    forward maps, are kept as witnesses; ``valid_count`` is always exact.
+    More than ``ENUMERATION_CAP`` columns is a ValueError.
     """
     valid = 0
     witnesses: list[ColumnOrdering] = []
     for forward in valid_forward_maps(matrix, spec):
         valid += 1
-        if len(witnesses) < witness_cap:
+        if len(witnesses) < WITNESS_CAP:
             witnesses.append(ColumnOrdering(forward))
     return ExhaustiveReport(valid, tuple(witnesses))
 

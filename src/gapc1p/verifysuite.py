@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering
-from .gadget import GadgetSpec, build_gadget, gadget_row_count, verify_rigidity
+from .gadget import build_gadget, gadget_row_count, verify_rigidity
 from .reduction import Cnf, verify_reduction
 from .solver import SATISFIED, brute_force, classic_c1p, decide
 
@@ -79,7 +79,7 @@ def case_row_count_identity() -> CaseResult:
         for delta in (1, 2, 3):
             for n in range(2 * delta + 3, 15):
                 closed = gadget_row_count(n, delta)
-                built = len(build_gadget(GadgetSpec(tuple(range(1, n + 1)), delta)))
+                built = len(build_gadget(range(1, n + 1), delta))
                 pairs = sum(
                     1
                     for i in range(1, n + 1)

@@ -47,8 +47,10 @@ class TestParsing:
             parse_matrix("1 3\n2 2\n")
 
     def test_malformed_header(self):
-        with pytest.raises(MatrixFormatError, match="line 1"):
-            parse_matrix("3\n")
+        # int() would read "1_2" as 12, "+1" as 1 and Arabic-Indic "\u0663" as 3.
+        for text in ("3\n", "1 1_2\n1\n", "+1 +3\n1\n", "1 \u0663\n1\n", "1 3.0\n1\n"):
+            with pytest.raises(MatrixFormatError, match="line 1: malformed header"):
+                parse_matrix(text)
 
     def test_dense_rejects_other_characters(self):
         # A 0/1 row is not read as indices, whatever its characters.

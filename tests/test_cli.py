@@ -177,13 +177,20 @@ class TestGadget:
         assert matrix.num_columns == 6
         assert set(matrix.rows) == {(2, 4), (2, 6)}
 
-    def test_undersized_needs_force(self, capsys):
+    def test_undersized_gadget_is_a_usage_error(self, capsys):
+        # No option builds a gadget below the rigidity hypothesis.
         assert main(["gadget", "--n", "4", "--delta", "1"]) == 3
-        assert main(["gadget", "--n", "4", "--delta", "1", "--force"]) == 0
+        assert main(["gadget", "--n", "4", "--delta", "1", "--force"]) == 3
 
     def test_empty_gadget_is_a_usage_error(self, capsys):
-        assert main(["gadget", "--n", "0", "--delta", "0", "--force"]) == 3
-        assert "--n must be positive" in capsys.readouterr().err
+        assert main(["gadget", "--n", "0", "--delta", "0"]) == 3
+        assert "breaks the rigidity hypothesis" in capsys.readouterr().err
+
+    def test_columns_are_plain_decimal(self, capsys):
+        # int() would read "1_0" as column 10.
+        for columns in ("1_0,2,3,4,5", "+1,2,3,4,5", "\u0661,2,3,4,5"):
+            assert main(["gadget", "--n", "5", "--delta", "1", "--columns", columns]) == 3
+            assert "bad --columns list" in capsys.readouterr().err
 
     def test_rigidity_check_lives_in_verify(self):
         # `verify --suite gadget --n --delta [--k]` is the one rigidity check;
@@ -317,7 +324,14 @@ class TestUsage:
         assert main(["verify", "--suite", "gadget", "--timeout", "5"]) == 3
 
     def test_bad_bound_value(self, triple):
-        assert main(["solve", "--matrix", str(triple), "--k", "zero", "--delta", "0"]) == 3
+        # Bounds and integer options take an optional '-' and ASCII digits only.
+        base = ["solve", "--matrix", str(triple), "--delta", "0"]
+        for value in ("zero", "+1", "1_0", "\u0662", " 2"):
+            assert main([*base, "--k", value]) == 3
+            assert main([*base, "--k", "2", "--nodes", value]) == 3
+            assert main(["verify", "--suite", "gadget", "--n", "5", "--delta", value]) == 3
+            assert main(["gadget", "--n", value, "--delta", "0"]) == 3
+        assert main([*base, "--k", "2", "--nodes", "0010"]) == 1  # leading zeros are fine
 
     def test_malformed_matrix_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -337,7 +351,7 @@ class TestUsage:
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         actions = [a for sub in commands.choices.values() for a in sub._actions
                    if not isinstance(a, argparse._HelpAction)]
-        assert len(actions) == 29  # -o and --output are one option
+        assert len(actions) == 28  # -o and --output are one option
         options = {
             name: {s for a in sub._actions if not isinstance(a, argparse._HelpAction)
                    for s in a.option_strings}
@@ -346,7 +360,7 @@ class TestUsage:
         assert options == {
             "check": {"--matrix", "--order", "--k", "--delta", "--json"},
             "solve": {"--matrix", "--k", "--delta", "--timeout", "--nodes", "--json"},
-            "gadget": {"--n", "--delta", "--columns", "--force", "-o", "--output"},
+            "gadget": {"--n", "--delta", "--columns", "-o", "--output"},
             "reduce": {"--cnf", "--theorem", "--k", "--delta", "--legend", "-o", "--output"},
             "verify": {"--suite", "--seed", "--json", "--n", "--delta", "--k", "--extra"},
         }

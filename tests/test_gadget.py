@@ -2,7 +2,6 @@ import pytest
 
 from gapc1p import (
     BinaryMatrix,
-    GadgetSpec,
     GapSpec,
     brute_force,
     build_gadget,
@@ -30,26 +29,39 @@ class TestRowCount:
                 assert gadget_row_count(n, delta) == pair_count(n, delta)
 
     def test_hypothesis_enforced_unless_forced(self):
-        with pytest.raises(ValueError):
-            gadget_row_count(4, 1)
-        # Forcing is the gadget's own option; the closed form has none.
-        assert len(build_gadget(GadgetSpec((1, 2, 3, 4), 1, force=True))) == pair_count(4, 1)
+        # Nothing forces an undersized gadget: the closed form holds only
+        # for n >= 2*delta + 3 and rejects every smaller n.
+        for delta in range(9):
+            n = 2 * delta + 3
+            assert gadget_row_count(n, delta) == pair_count(n, delta)
+            with pytest.raises(ValueError, match="rigidity hypothesis"):
+                gadget_row_count(n - 1, delta)
 
 
 class TestBuild:
     def test_delta_one_on_five_columns(self):
-        rows = build_gadget(GadgetSpec((1, 2, 3, 4, 5), 1))
+        rows = build_gadget((1, 2, 3, 4, 5), 1)
         assert set(rows) == {(1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (2, 4), (3, 5)}
         assert len(rows) == gadget_row_count(5, 1)
 
     def test_small_n_rejected_without_force(self):
-        with pytest.raises(ValueError):
-            build_gadget(GadgetSpec((1, 2, 3, 4), 1))
-        assert len(build_gadget(GadgetSpec((1, 2, 3, 4), 1, force=True))) == 5
+        # The builder shares the closed form's rule, n >= 2*delta + 3, and
+        # has no option to bypass it.
+        for delta in range(9):
+            n = 2 * delta + 3
+            assert len(build_gadget(range(1, n + 1), delta)) == gadget_row_count(n, delta)
+            with pytest.raises(ValueError, match="rigidity hypothesis"):
+                build_gadget(range(1, n), delta)
+
+    def test_bad_target_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            build_gadget((1, 2, 3, 2, 5), 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_gadget((1, 2, 3, 4, 5), -1)
 
     def test_rows_generated_from_target_positions(self):
         # Identifiers are arbitrary; distances are measured along the target.
-        rows = build_gadget(GadgetSpec((9, 2, 7, 5, 4), 1))
+        rows = build_gadget((9, 2, 7, 5, 4), 1)
         assert (2, 9) in rows  # positions 1 and 2
         assert (7, 9) in rows  # positions 1 and 3
         assert (4, 9) not in rows  # positions 1 and 5: distance 4 > 2
@@ -57,18 +69,18 @@ class TestBuild:
     def test_every_row_has_two_ones_inside_target(self):
         for delta in (1, 2):
             target = tuple(range(1, 2 * delta + 4))
-            for row in build_gadget(GadgetSpec(target, delta)):
+            for row in build_gadget(target, delta):
                 assert len(row) == 2
                 assert set(row) <= set(target)
 
     def test_row_count_identity_full_range(self):
         for delta in (1, 2, 3):
             for n in range(2 * delta + 3, 15):
-                rows = build_gadget(GadgetSpec(tuple(range(1, n + 1)), delta))
+                rows = build_gadget(range(1, n + 1), delta)
                 assert len(rows) == gadget_row_count(n, delta) == pair_count(n, delta)
 
     def test_delta_zero_is_adjacency_path(self):
-        rows = build_gadget(GadgetSpec((1, 2, 3, 4), 0))
+        rows = build_gadget((1, 2, 3, 4), 0)
         assert set(rows) == {(1, 2), (2, 3), (3, 4)}
         report = brute_force(BinaryMatrix(4, rows), GapSpec(1, 0))
         assert report.valid_count == 2
@@ -99,6 +111,10 @@ class TestRigidity:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             verify_rigidity(9, 1, 2, extra_columns=2)
+
+    def test_negative_extra_columns_rejected(self):
+        with pytest.raises(ValueError, match="extra_columns"):
+            verify_rigidity(5, 1, 2, extra_columns=-1)
 
     def test_undersized_gadget_is_reported_not_hidden(self):
         # Below the hypothesis the construction may lose rigidity; the

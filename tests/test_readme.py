@@ -1,0 +1,13 @@
+"""README.md's python examples run as written, so every name they use exists."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks, "README.md has no python block"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

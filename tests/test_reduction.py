@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -9,7 +10,6 @@ from gapc1p import (
     Cnf,
     ColumnOrdering,
     DimacsFormatError,
-    GadgetSpec,
     GapSpec,
     build_gadget,
     check_ordering,
@@ -17,7 +17,7 @@ from gapc1p import (
     reduce_formula,
     reduce_theorem2,
     reduce_theorem3,
-    sat_brute_force,
+    satisfying_assignments,
     to_exact3,
     verify_reduction,
     witness_from_assignment,
@@ -95,6 +95,15 @@ class TestDimacs:
         with pytest.raises(DimacsFormatError, match="terminating"):
             parse_dimacs("p cnf 1 1\n1 1\n")
 
+    def test_numbers_are_plain_decimal(self):
+        # int() would read "1_0" as 10 and "+2" as 2.
+        for line in ("p cnf 1_0 1", "p cnf +1 1", "p cnf 1 \u0661"):
+            with pytest.raises(DimacsFormatError, match="malformed problem line"):
+                parse_dimacs(f"{line}\n1 1 1 0\n")
+        for clause, token in (("1_0 +2 -3 0", "1_0"), ("1 +2 -3 0", "+2"), ("1 2 3 0_0", "0_0")):
+            with pytest.raises(DimacsFormatError, match=re.escape(f"bad literal '{token}'")):
+                parse_dimacs(f"p cnf 10 1\n{clause}\n")
+
 
 class TestToExact3:
     def test_pads_unit_clause(self):
@@ -121,22 +130,23 @@ class TestToExact3:
             cnf = Cnf(n, tuple(clauses))
             out = to_exact3(cnf)
             assert all(len(c) == 3 for c in out.clauses)
-            assert (sat_brute_force(cnf) is None) == (sat_brute_force(out) is None)
+            sat_in = next(satisfying_assignments(cnf), None) is not None
+            assert sat_in == (next(satisfying_assignments(out), None) is not None)
 
 
 class TestSatOracle:
     def test_forced_true(self):
-        assert sat_brute_force(cnf_over(1, (1, 1, 1))) == {1: True}
+        assert next(satisfying_assignments(cnf_over(1, (1, 1, 1))), None) == {1: True}
 
     def test_contradiction(self):
-        assert sat_brute_force(cnf_over(1, (1, 1, 1), (-1, -1, -1))) is None
+        assert next(satisfying_assignments(cnf_over(1, (1, 1, 1), (-1, -1, -1))), None) is None
 
     def test_empty_formula_vacuous(self):
-        assert sat_brute_force(Cnf(2, ())) == {1: False, 2: False}
+        assert next(satisfying_assignments(Cnf(2, ())), None) == {1: False, 2: False}
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            sat_brute_force(Cnf(21, ((1, 2, 3),)))
+            next(satisfying_assignments(Cnf(21, ((1, 2, 3),))), None)
 
 
 class TestTheorem3Shape:
@@ -187,7 +197,7 @@ class TestTheorem3Shape:
     def test_separator_carries_full_gadget(self):
         out = reduce_theorem3(cnf_over(1, (1, 1, 1)), 3)
         sep = tuple(out.separator_column(t) for t in range(1, out.params.d + 1))
-        expected = set(build_gadget(GadgetSpec(sep, 1)))
+        expected = set(build_gadget(sep, 1))
         assert expected <= set(out.matrix.rows)
 
 
@@ -199,7 +209,7 @@ class TestTheorem2Shape:
         assert out.matrix.num_rows == 20
 
     def test_every_separator_meets_the_rigidity_hypothesis(self):
-        # _build checks d >= 2*delta+3 through GadgetSpec for each instance.
+        # _build checks d >= 2*delta+3 through build_gadget for each instance.
         f = cnf_over(1, (1, 1, 1))
         for k in range(2, 9):
             for delta in range(2, 9):
@@ -367,7 +377,7 @@ class TestEquivalence:
         assert len(formulas) == 216
         lost = set()
         for f in formulas:
-            satisfiable = sat_brute_force(f) is not None
+            satisfiable = next(satisfying_assignments(f), None) is not None
             t3 = decide(reduce_theorem3(f, 3).matrix, GapSpec(3, 1))
             assert (t3.status == SATISFIED) == satisfiable, f
             t2 = decide(reduce_theorem2(f, 2, 2).matrix, GapSpec(2, 2))
@@ -388,6 +398,6 @@ class TestFormulaValue:
                 tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
                 for _ in range(rng.randint(1, 3))
             ))
-            assignment = sat_brute_force(f)
+            assignment = next(satisfying_assignments(f), None)
             if assignment is not None:
                 assert formula_value(f, assignment)

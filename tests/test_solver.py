@@ -22,7 +22,9 @@ from gapc1p import (
     reduce_theorem2,
     reduce_theorem3,
 )
+from gapc1p.bitmatrix import valid_forward_maps
 from gapc1p.pqtree import _fit
+from gapc1p.solver import WITNESS_CAP
 from test_bitmatrix import random_matrix
 
 TRIPLE = BinaryMatrix(3, ((1, 2), (2, 3), (1, 3)))
@@ -227,9 +229,9 @@ class TestBruteForce:
         assert brute_force(TRIPLE, GapSpec(1, 0)).valid_count == 0
 
     def test_gadget_has_exactly_two(self):
-        from gapc1p import GadgetSpec, build_gadget
+        from gapc1p import build_gadget
 
-        rows = build_gadget(GadgetSpec((1, 2, 3, 4, 5), 1))
+        rows = build_gadget((1, 2, 3, 4, 5), 1)
         report = brute_force(BinaryMatrix(5, rows), GapSpec(2, 1))
         assert report.valid_count == 2
         forwards = {w.forward for w in report.witnesses}
@@ -239,17 +241,17 @@ class TestBruteForce:
         rng = random.Random(994)
         for _ in range(40):
             m = random_matrix(rng, max_cols=5)
-            report = brute_force(m, GapSpec(2, 1), witness_cap=200)
-            forwards = {w.forward for w in report.witnesses}
-            assert report.valid_count == len(forwards)
+            forwards = set(valid_forward_maps(m, GapSpec(2, 1)))
+            assert brute_force(m, GapSpec(2, 1)).valid_count == len(forwards)
             for f in forwards:
                 assert tuple(reversed(f)) in forwards
 
     def test_witnesses_lexicographic_and_capped(self):
         m = BinaryMatrix(4, ())
-        report = brute_force(m, GapSpec(1, 0), witness_cap=5)
+        report = brute_force(m, GapSpec(1, 0))
         assert report.valid_count == 24
-        assert len(report.witnesses) == 5
+        assert WITNESS_CAP == 8
+        assert len(report.witnesses) == WITNESS_CAP
         forwards = [w.forward for w in report.witnesses]
         assert forwards == sorted(forwards)
 
