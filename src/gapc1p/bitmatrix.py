@@ -201,6 +201,17 @@ def first_violating_row(
 def valid_forward_maps(matrix: BinaryMatrix, spec: GapSpec) -> Iterator[tuple[int, ...]]:
     """Yield every forward map that satisfies the spec, in lexicographic order.
 
+    A depth-first loop fills positions 1..n with the unplaced columns in
+    increasing order.  Position p must take a column of a row with ones left
+    that has k blocks and its last one at p - 1 (block rule), or its last
+    one at p - delta - 1 (gap rule), so no prefix breaks a row.  Rows that
+    no completion can break are safe: they are dropped up front, and once
+    every row is safe, each permutation of the sorted rest completes the
+    prefix as one batch.  The first ordering of every batch (a leaf is a
+    batch of one) is re-checked with ``first_violating_row``; fully placed
+    rows look the same in the whole batch and the rest are safe, so that
+    check covers the batch.  A failed check is a RuntimeError.
+
     More than ``ENUMERATION_CAP`` columns raises ValueError at the first step.
     """
     n = matrix.num_columns
@@ -208,13 +219,68 @@ def valid_forward_maps(matrix: BinaryMatrix, spec: GapSpec) -> Iterator[tuple[in
         raise ValueError(f"{n} columns exceeds the enumeration cap of {ENUMERATION_CAP}")
     k_eff = spec.block_limit(n)
     d_eff = spec.gap_limit(n)
-    rows = [row for row in matrix.rows if len(row) >= 2]
+
+    def safe_from(at: int, b: int, u: int) -> int:
+        # The least prefix length L from which a row with its last one at `at`
+        # (-1: none yet), b blocks and u ones left is safe: its u ones add at
+        # most min(u, n - L - u + 1) blocks and no gap above n - u - at
+        # (n - u - L when none is placed).
+        if not u:
+            return 0
+        blocks_from = 0 if b + u <= k_eff else n - u + 1 + b - k_eff
+        if at < 0:
+            return max(blocks_from, n - u - d_eff)
+        return blocks_from if n - u - at <= d_eff else n + 1
+
+    rows = [row for row in matrix.rows if len(row) > 1 and safe_from(-1, 0, len(row)) > 0]
+    col_rows = [[r for r, row in enumerate(rows) if c in row] for c in range(n + 1)]
+    row_mask = [sum(1 << c for c in row) for row in rows]
+    state = [(-1, 0, len(row)) for row in rows]  # (last placed position or -1, blocks, ones left)
+    safe = [safe_from(*s) for s in state]
     position = [0] * (n + 1)
-    for forward in itertools.permutations(range(1, n + 1)):
-        for pos, c in enumerate(forward, start=1):
-            position[c] = pos
-        if first_violating_row(rows, position, k_eff, d_eff) < 0:
-            yield forward
+    prefix: tuple[int, ...] = ()
+    unplaced = (1 << (n + 1)) - 2
+    undo: list[tuple] = []  # (prefix, state, safe, unplaced) before each placed column
+    todo: list[int] = []  # todo[i]: the candidates for position i + 1 not yet tried
+    while True:
+        depth = len(prefix)
+        if max(safe, default=0) > depth:
+            cands = unplaced
+            near = col_rows[prefix[-1]] if depth else []
+            far = col_rows[prefix[depth - d_eff - 1]] if depth > d_eff else []
+            for r in near + far:
+                at, b, u = state[r]
+                if u and (at == depth - d_eff or at == depth and b == k_eff):
+                    cands &= row_mask[r]
+            todo.append(cands)
+        else:
+            rest = [c for c in range(1, n + 1) if unplaced >> c & 1]
+            for p, c in enumerate(rest, start=depth + 1):
+                position[c] = p
+            if first_violating_row(matrix.rows, position, k_eff, d_eff) >= 0:
+                raise RuntimeError("internal error: enumeration reached an invalid ordering")
+            for tail in itertools.permutations(rest):
+                yield prefix + tail
+        while todo:  # back up to the deepest position with a candidate left
+            if len(prefix) == len(todo):  # take back the column placed there
+                prefix, state, safe, unplaced = undo.pop()
+            if todo[-1]:
+                break
+            todo.pop()
+        else:
+            return
+        cands = todo[-1]
+        low = cands & -cands
+        todo[-1] = cands ^ low
+        c = low.bit_length() - 1
+        p = len(prefix) + 1
+        undo.append((prefix, state, safe, unplaced))
+        prefix, state, safe, unplaced = prefix + (c,), state[:], safe[:], unplaced ^ low
+        for r in col_rows[c]:
+            at, b, u = state[r]
+            state[r] = (p, b + (at != p - 1), u - 1)
+            safe[r] = safe_from(*state[r])
+        position[c] = p
 
 
 def check_ordering(matrix: BinaryMatrix, ordering: ColumnOrdering, spec: GapSpec) -> CheckReport:

@@ -184,10 +184,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_gadget(args) -> int:
     if args.columns is not None:
+        tokens = args.columns.replace(",", " ").split()
         try:
-            target = tuple(strict_int(t) for t in args.columns.replace(",", " ").split())
+            target = tuple(strict_int(t) for t in tokens)
         except ValueError:
             raise _CliError(f"bad --columns list {args.columns!r}")
+        bad = [t for t, c in zip(tokens, target) if c < 1]
+        if bad:
+            raise _CliError(f"bad --columns entry {bad[0]!r}: columns are numbered from 1")
         if len(target) != args.n:
             raise _CliError(f"--columns lists {len(target)} columns but --n is {args.n}")
     else:

@@ -16,8 +16,9 @@ All three rules are necessary conditions, so an exhausted search is a proof
 that no ordering exists.  The search is one loop over an explicit stack of
 immutable states, so depth is not limited by the recursion limit.
 
-``brute_force`` enumerates every permutation and is the ground-truth oracle
-for small universes.  ``classic_c1p`` is the special case with one block
+``brute_force`` is the ground-truth oracle for small universes: an
+exhaustive enumeration that cuts dead prefixes, with exact counts and
+lexicographic witnesses.  ``classic_c1p`` is the special case with one block
 and no gaps, decided in polynomial time by overlap-component refinement;
 ``decide`` routes every spec that collapses to it there.
 """

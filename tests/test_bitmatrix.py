@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -20,6 +21,7 @@ from gapc1p import (
     serialize_matrix,
     serialize_ordering,
 )
+from gapc1p.bitmatrix import first_violating_row, valid_forward_maps
 
 
 def random_matrix(rng, max_cols=6, max_rows=6, density=0.4):
@@ -303,3 +305,58 @@ def test_check_ordering_is_reversal_invariant(case, spec):
         return None if v is None else (v.row_index, v.kind)
 
     assert verdict(o) == verdict(o.reverse())
+
+
+REFERENCE_SPECS = tuple(GapSpec(k, d) for k, d in (
+    (1, 0), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 0), (1, 3),
+    (None, 1), (2, None), (None, None)))
+
+
+def reference_forward_maps(m, spec):
+    """The definition of valid_forward_maps: filter every permutation by the row check."""
+    n = m.num_columns
+    k_eff, d_eff = spec.block_limit(n), spec.gap_limit(n)
+
+    def pos(forward):
+        position = [0] * (n + 1)
+        for p, c in enumerate(forward, start=1):
+            position[c] = p
+        return position
+
+    return [f for f in itertools.permutations(range(1, n + 1))
+            if first_violating_row(m.rows, pos(f), k_eff, d_eff) < 0]
+
+
+def reference_corpus():
+    """Seeded (matrix, spec) pairs on 1-8 columns with empty, single-one and duplicate rows.
+
+    Up to 7 columns every matrix meets every spec; each 8-column matrix
+    meets one spec, as its reference filters 40,320 permutations.
+    """
+    rng = random.Random(2009)
+    cases = []
+    for n in range(1, 9):
+        for i in range({7: 2, 8: 4}.get(n, 4)):
+            rows = [rng.sample(range(1, n + 1), rng.randint(2, min(n, 4)))
+                    for _ in range(rng.randint(1, n) if n > 1 else 0)]
+            rows += [[], [rng.randint(1, n)]]
+            rows.append(rng.choice(rows))  # a duplicate row
+            rng.shuffle(rows)
+            m = BinaryMatrix.from_rows(n, rows)
+            specs = REFERENCE_SPECS if n < 8 else REFERENCE_SPECS[1 + 3 * i:2 + 3 * i]
+            cases.extend((m, spec) for spec in specs)
+    return cases
+
+
+def test_valid_forward_maps_equals_the_permutation_filter():
+    for m, spec in reference_corpus():
+        assert list(valid_forward_maps(m, spec)) == reference_forward_maps(m, spec), (m, spec)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(1, 6).flatmap(lambda n: st.builds(
+           BinaryMatrix.from_rows, st.just(n),
+           st.lists(st.sets(st.integers(1, n), max_size=5), max_size=7))),
+       st.sampled_from(REFERENCE_SPECS))
+def test_valid_forward_maps_equals_the_permutation_filter_on_drawn_matrices(m, spec):
+    assert list(valid_forward_maps(m, spec)) == reference_forward_maps(m, spec)

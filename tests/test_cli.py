@@ -192,6 +192,12 @@ class TestGadget:
             assert main(["gadget", "--n", "5", "--delta", "1", "--columns", columns]) == 3
             assert "bad --columns list" in capsys.readouterr().err
 
+    def test_columns_are_positive(self, capsys):
+        for columns, token in (("0,1,2,3,4", "'0'"), ("1,2,-3,4,5", "'-3'"), ("1,2,3,4,00", "'00'")):
+            assert main(["gadget", "--n", "5", "--delta", "1", "--columns", columns]) == 3
+            err = capsys.readouterr().err
+            assert "--columns" in err and token in err
+
     def test_rigidity_check_lives_in_verify(self):
         # `verify --suite gadget --n --delta [--k]` is the one rigidity check;
         # the gadget's rows do not depend on k.

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from gapc1p import (
@@ -107,6 +109,15 @@ class TestRigidity:
             report = verify_rigidity(5, 1, 2, extra_columns=extra)
             assert report.rigid
             assert report.valid_count > 2  # free columns multiply the count
+
+    @pytest.mark.parametrize("n, delta, k, extra", [
+        (5, 1, 2, 5), (6, 1, 2, 3), (8, 2, 3, 2), (10, 1, 2, 0)])
+    def test_rigid_at_the_enumeration_cap(self, n, delta, k, extra):
+        # The gadget moves as one block, in either orientation, among the
+        # free columns: 2 * (extra + 1)! valid orderings.
+        report = verify_rigidity(n, delta, k, extra_columns=extra)
+        assert report.rigid and report.counterexample is None
+        assert report.valid_count == 2 * math.factorial(extra + 1)
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):

@@ -358,8 +358,8 @@ def test_classic_c1p_agrees_with_brute_force(m):
 
 @st.composite
 def crowded_matrices(draw) -> BinaryMatrix:
-    """At most 8 columns and n to 3n rows of 2 to 4 ones: many refute a gapped spec."""
-    n = draw(st.integers(1, 8))
+    """At most 9 columns and n to 3n rows of 2 to 4 ones: many refute a gapped spec."""
+    n = draw(st.integers(1, 9))
     row = st.sets(st.integers(1, n), min_size=min(n, 2), max_size=4)
     return BinaryMatrix.from_rows(n, draw(st.lists(row, min_size=n, max_size=3 * n)))
 
