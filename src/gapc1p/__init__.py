@@ -16,7 +16,6 @@ from .bitmatrix import (
     MatrixFormatError,
     RowProfile,
     Violation,
-    apply_ordering,
     check_ordering,
     parse_matrix,
     parse_ordering,
@@ -82,7 +81,6 @@ __all__ = [
     "TIMED_OUT",
     "TOO_MANY_BLOCKS",
     "Violation",
-    "apply_ordering",
     "brute_force",
     "build_gadget",
     "check_ordering",

@@ -304,15 +304,6 @@ def check_ordering(matrix: BinaryMatrix, ordering: ColumnOrdering, spec: GapSpec
     return CheckReport(False, Violation(i + 1, profile, kind))
 
 
-def apply_ordering(matrix: BinaryMatrix, ordering: ColumnOrdering) -> BinaryMatrix:
-    """Permute the matrix columns: input column c moves to position inverse[c]."""
-    if ordering.num_columns != matrix.num_columns:
-        raise ValueError("ordering universe does not match matrix")
-    inverse = ordering.inverse
-    rows = tuple(tuple(sorted(inverse[c - 1] for c in row)) for row in matrix.rows)
-    return BinaryMatrix(matrix.num_columns, rows)
-
-
 # ---------------------------------------------------------------------------
 # File formats.
 #

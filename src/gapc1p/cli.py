@@ -16,7 +16,6 @@ import traceback
 from pathlib import Path
 
 from .bitmatrix import (
-    ENUMERATION_CAP,
     BinaryMatrix,
     GapSpec,
     check_ordering,
@@ -29,7 +28,7 @@ from .bitmatrix import (
 from .reduction import parse_dimacs, reduce_formula
 from .solver import EXHAUSTED, SATISFIED, TIMED_OUT, SearchConfig, SearchStats, decide
 from .gadget import build_gadget
-from .verifysuite import DEFAULT_SEED, FAIL, SEEDED_SUITES, run_single_rigidity, run_suite
+from .verifysuite import FAIL, run_suite
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -76,11 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--nodes", type=strict_int, default=None, metavar="N")
     p_solve.add_argument("--json", action="store_true")
 
-    p_gadget = sub.add_parser("gadget", help="emit a column-rigidity gadget as a matrix file")
+    p_gadget = sub.add_parser("gadget", help="emit the column-rigidity gadget over columns 1..n")
     p_gadget.add_argument("--n", type=strict_int, required=True)
     p_gadget.add_argument("--delta", type=strict_int, required=True)
-    p_gadget.add_argument("--columns", default=None,
-                          help="comma-separated target order (default 1..n)")
     p_gadget.add_argument("-o", "--output", default=None)
 
     p_reduce = sub.add_parser("reduce", help="generate a hardness instance from a DIMACS CNF")
@@ -95,13 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the oracle verification suites")
     p_verify.add_argument("--suite", choices=("gadget", "solver", "reduction", "all"),
                           required=True)
-    p_verify.add_argument("--seed", type=strict_int, default=None,
-                          help=f"seed of the solver cases' random corpus (default {DEFAULT_SEED})")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--n", type=strict_int, default=None)
-    p_verify.add_argument("--delta", type=strict_int, default=None)
-    p_verify.add_argument("--k", type=strict_int, default=None)
-    p_verify.add_argument("--extra", type=strict_int, default=None)
 
     return parser
 
@@ -183,22 +174,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    if args.columns is not None:
-        tokens = args.columns.replace(",", " ").split()
-        try:
-            target = tuple(strict_int(t) for t in tokens)
-        except ValueError:
-            raise _CliError(f"bad --columns list {args.columns!r}")
-        bad = [t for t, c in zip(tokens, target) if c < 1]
-        if bad:
-            raise _CliError(f"bad --columns entry {bad[0]!r}: columns are numbered from 1")
-        if len(target) != args.n:
-            raise _CliError(f"--columns lists {len(target)} columns but --n is {args.n}")
-    else:
-        target = tuple(range(1, args.n + 1))
-    rows = build_gadget(target, args.delta)
-    matrix = BinaryMatrix(max(target), rows)
-    _write(args.output, serialize_matrix(matrix))
+    rows = build_gadget(range(1, args.n + 1), args.delta)
+    _write(args.output, serialize_matrix(BinaryMatrix(args.n, rows)))
     return EXIT_HOLDS
 
 
@@ -232,29 +209,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if any(v is not None for v in (args.n, args.k, args.delta, args.extra)):
-        if args.suite != "gadget":
-            raise _CliError("--n/--delta/--k/--extra select a single gadget case; "
-                            "use --suite gadget")
-        if args.n is None or args.delta is None:
-            raise _CliError("a single gadget case needs both --n and --delta")
-        if args.seed is not None:
-            raise _CliError("--seed draws the solver suite's corpus; a gadget case has none")
-        k = 2 if args.k is None else args.k
-        extra = args.extra or 0
-        # Bad arguments are usage errors, not failed cases.
-        GapSpec(k, args.delta)
-        if args.n < 2 or extra < 0 or args.n + extra > ENUMERATION_CAP:
-            raise _CliError(f"a gadget case needs --n >= 2, --extra >= 0 and "
-                            f"n + extra <= {ENUMERATION_CAP} columns")
-        results = [run_single_rigidity(args.n, args.delta, k, extra)]
-    else:
-        results = run_suite(args.suite, args.seed)
+    results = run_suite(args.suite)
     if args.json:
-        seeded = args.suite in SEEDED_SUITES
         print(json.dumps({
             "suite": args.suite,
-            "seed": (DEFAULT_SEED if args.seed is None else args.seed) if seeded else None,
             "ok": all(r.status != FAIL for r in results),
             "cases": [
                 {

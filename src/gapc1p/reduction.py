@@ -109,7 +109,6 @@ class ReductionOutput:
 @dataclass(frozen=True)
 class EquivalenceReport:
     formula_satisfiable: bool | None
-    matrix_decision: str
     agree: bool | None
     outcome: SolveOutcome
 
@@ -472,4 +471,4 @@ def verify_reduction(
         agree = None
     else:
         agree = formula_satisfiable == (outcome.status == SATISFIED)
-    return EquivalenceReport(formula_satisfiable, outcome.status, agree, outcome)
+    return EquivalenceReport(formula_satisfiable, agree, outcome)

@@ -23,9 +23,6 @@ DEFAULT_SEED = 212121
 PASS = "pass"
 FAIL = "fail"
 
-# The suites whose cases draw the seeded random corpus.
-SEEDED_SUITES = ("solver", "all")
-
 
 @dataclass
 class CaseResult:
@@ -34,7 +31,6 @@ class CaseResult:
     status: str
     elapsed_seconds: float
     detail: str
-    budget_seconds: float
 
 
 def _run_case(case_id: str, name: str, budget: float, fn: Callable[[], str]) -> CaseResult:
@@ -52,7 +48,7 @@ def _run_case(case_id: str, name: str, budget: float, fn: Callable[[], str]) -> 
     if status == PASS and elapsed > budget:
         status = FAIL
         detail = f"over budget: {elapsed:.1f}s > {budget:.0f}s ({detail})"
-    return CaseResult(case_id, name, status, elapsed, detail, budget)
+    return CaseResult(case_id, name, status, elapsed, detail)
 
 
 def solver_corpus(seed: int, count: int = 200) -> list[BinaryMatrix]:
@@ -165,7 +161,7 @@ def case_theorem3_equivalence() -> CaseResult:
         assert rep.agree and rep.formula_satisfiable, f"sat side: {rep}"
         rep2 = verify_reduction(unsat, 3, 3)
         assert rep2.agree and not rep2.formula_satisfiable, f"unsat side: {rep2}"
-        assert rep2.matrix_decision == "exhausted"
+        assert rep2.outcome.status == "exhausted"
         return (
             "12-column instance satisfiable with validated witness; "
             f"16-column instance exhausted in {rep2.outcome.stats.nodes_expanded} nodes"
@@ -187,7 +183,7 @@ def case_theorem2_stretch() -> CaseResult:
     def body() -> str:
         rep = verify_reduction(Cnf(1, ((1, 1, 1), (-1, -1, -1))), 2, 2, 2)
         assert rep.agree and not rep.formula_satisfiable, f"{rep}"
-        assert rep.matrix_decision == "exhausted"
+        assert rep.outcome.status == "exhausted"
         stats = rep.outcome.stats
         assert stats.nodes_expanded == 18, stats
         assert stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 18}, stats
@@ -227,39 +223,21 @@ def case_collapse_and_reversal(seed: int) -> CaseResult:
 # Suite assembly.
 
 
-def run_suite(suite: str, seed: int | None = None) -> list[CaseResult]:
-    """Run every case of a suite; ``seed`` (default ``DEFAULT_SEED``) draws the corpus.
-
-    A seed is rejected for a suite that draws no corpus.
-    """
+def run_suite(suite: str) -> list[CaseResult]:
+    """Run every case of a suite; the solver cases draw the ``DEFAULT_SEED`` corpus."""
     if suite not in ("gadget", "solver", "reduction", "all"):
         raise ValueError(f"unknown suite {suite!r}")
-    if seed is None:
-        seed = DEFAULT_SEED
-    elif suite not in SEEDED_SUITES:
-        raise ValueError(f"suite {suite!r} draws no random corpus, so it takes no seed")
     results: list[CaseResult] = []
     if suite in ("gadget", "all"):
         results.append(case_row_count_identity())
         results.append(case_rigidity())
         results.append(case_embedded_rigidity())
     if suite in ("solver", "all"):
-        results.append(case_solver_oracle(seed))
-        results.append(case_classic_agreement(seed))
-        results.append(case_collapse_and_reversal(seed))
+        results.append(case_solver_oracle(DEFAULT_SEED))
+        results.append(case_classic_agreement(DEFAULT_SEED))
+        results.append(case_collapse_and_reversal(DEFAULT_SEED))
     if suite in ("reduction", "all"):
         results.append(case_theorem3_equivalence())
         results.append(case_theorem2_satisfiable())
         results.append(case_theorem2_stretch())
     return results
-
-
-def run_single_rigidity(n: int, delta: int, k: int, extra: int = 0) -> CaseResult:
-    """One ad-hoc rigidity check, e.g. ``verify --suite gadget --n 5 --delta 1 --k 2``."""
-
-    def body() -> str:
-        report = verify_rigidity(n, delta, k, extra_columns=extra)
-        assert report.rigid, f"counterexample: {report.counterexample}"
-        return f"rigid; valid_count = {report.valid_count}"
-
-    return _run_case("G", f"rigidity n={n} delta={delta} k={k} extra={extra}", 600.0, body)

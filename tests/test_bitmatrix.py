@@ -13,7 +13,6 @@ from gapc1p import (
     ColumnOrdering,
     GapSpec,
     MatrixFormatError,
-    apply_ordering,
     check_ordering,
     parse_matrix,
     parse_ordering,
@@ -220,34 +219,6 @@ class TestCheck:
             base = check_ordering(m, o, GapSpec(1, 0)).ok
             for k in (2, 3, None):
                 assert check_ordering(m, o, GapSpec(k, 0)).ok == base
-
-
-class TestApply:
-    def test_identity_is_noop(self):
-        m = BinaryMatrix(3, ((1, 3), (2,)))
-        assert apply_ordering(m, ColumnOrdering.identity(3)) == m
-
-    def test_mirror(self):
-        m = BinaryMatrix(3, ((1, 3),))
-        assert apply_ordering(m, ColumnOrdering((3, 2, 1))) == m
-
-    def test_position_equation(self):
-        # The permuted row under identity profiles like the original under
-        # the ordering.
-        rng = random.Random(15)
-        for _ in range(200):
-            m = random_matrix(rng)
-            o = random_ordering(rng, m.num_columns)
-            permuted = apply_ordering(m, o)
-            identity = ColumnOrdering.identity(m.num_columns)
-            for row, prow in zip(m.rows, permuted.rows):
-                assert profile_row(prow, identity) == profile_row(row, o)
-
-    def test_column_lands_at_inverse_position(self):
-        o = ColumnOrdering((2, 3, 1))
-        m = BinaryMatrix(3, ((1, 2),))
-        permuted = apply_ordering(m, o)
-        assert permuted.rows[0] == tuple(sorted((o.inverse[0], o.inverse[1])))
 
 
 class TestTypes:

@@ -171,12 +171,6 @@ class TestGadget:
         assert matrix.num_rows == 7
         assert matrix.num_columns == 5
 
-    def test_custom_target_columns(self, tmp_path, capsys):
-        assert main(["gadget", "--n", "3", "--delta", "0", "--columns", "4,2,6"]) == 0
-        matrix = parse_matrix(capsys.readouterr().out)
-        assert matrix.num_columns == 6
-        assert set(matrix.rows) == {(2, 4), (2, 6)}
-
     def test_undersized_gadget_is_a_usage_error(self, capsys):
         # No option builds a gadget below the rigidity hypothesis.
         assert main(["gadget", "--n", "4", "--delta", "1"]) == 3
@@ -186,23 +180,15 @@ class TestGadget:
         assert main(["gadget", "--n", "0", "--delta", "0"]) == 3
         assert "breaks the rigidity hypothesis" in capsys.readouterr().err
 
-    def test_columns_are_plain_decimal(self, capsys):
-        # int() would read "1_0" as column 10.
-        for columns in ("1_0,2,3,4,5", "+1,2,3,4,5", "\u0661,2,3,4,5"):
-            assert main(["gadget", "--n", "5", "--delta", "1", "--columns", columns]) == 3
-            assert "bad --columns list" in capsys.readouterr().err
-
-    def test_columns_are_positive(self, capsys):
-        for columns, token in (("0,1,2,3,4", "'0'"), ("1,2,-3,4,5", "'-3'"), ("1,2,3,4,00", "'00'")):
-            assert main(["gadget", "--n", "5", "--delta", "1", "--columns", columns]) == 3
-            err = capsys.readouterr().err
-            assert "--columns" in err and token in err
-
     def test_rigidity_check_lives_in_verify(self):
-        # `verify --suite gadget --n --delta [--k]` is the one rigidity check;
-        # the gadget's rows do not depend on k.
+        # `verify_rigidity` is the one rigidity check; the gadget's rows do
+        # not depend on k.
         assert main(["gadget", "--n", "5", "--delta", "1", "--verify"]) == 3
         assert main(["gadget", "--n", "5", "--delta", "1", "--k", "2"]) == 3
+
+    def test_columns_is_not_an_option(self):
+        # `gadget` emits columns 1..n; `build_gadget(order, delta)` takes any order.
+        assert main(["gadget", "--n", "5", "--delta", "1", "--columns", "1,2,3,4,5"]) == 3
 
 
 class TestReduce:
@@ -270,32 +256,14 @@ class TestReduce:
 
 
 class TestVerify:
-    def test_single_gadget_case(self, capsys):
-        code = main(["verify", "--suite", "gadget", "--n", "5", "--delta", "1", "--k", "2"])
-        assert code == 0
-        assert "valid_count = 2" in capsys.readouterr().out
-
     def test_gadget_suite_json(self, capsys):
         code = main(["verify", "--suite", "gadget", "--json"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert payload["seed"] is None  # the gadget cases draw no random corpus
+        assert "seed" not in payload  # the solver cases always draw DEFAULT_SEED
         assert [c["id"] for c in payload["cases"]] == ["C1", "C2", "C3"]
         assert all(c["status"] == "pass" for c in payload["cases"])
-
-    def test_single_gadget_case_rejects_bad_k(self):
-        assert main(["verify", "--suite", "gadget", "--n", "5", "--delta", "1", "--k", "0"]) == 3
-
-    def test_single_case_flags_require_gadget_suite(self):
-        assert main(["verify", "--suite", "solver", "--n", "5", "--delta", "1"]) == 3
-
-    def test_seed_needs_a_seeded_suite(self):
-        # Only the solver suite draws a random corpus.
-        assert main(["verify", "--suite", "gadget", "--seed", "7"]) == 3
-        assert main(["verify", "--suite", "reduction", "--seed", "7"]) == 3
-        assert main(["verify", "--suite", "gadget", "--n", "5", "--delta", "1",
-                     "--seed", "7"]) == 3
 
     def test_stretch_case_always_runs(self, capsys):
         assert main(["verify", "--suite", "reduction", "--no-stretch"]) == 3
@@ -304,19 +272,13 @@ class TestVerify:
         assert [c["id"] for c in cases] == ["C6", "C7", "C7S"]
         assert cases[2]["status"] == "pass" and "18 nodes" in cases[2]["detail"]
 
-    def test_bad_gadget_case_is_a_usage_error(self, capsys):
-        # Arguments no rigidity check can take are rejected, not failed cases.
-        base = ["verify", "--suite", "gadget", "--delta", "1"]
-        for case in (["--n", "11"], ["--n", "5", "--extra", "-1"], ["--n", "1"],
-                     ["--n", "8", "--extra", "3"]):
-            assert main([*base, *case]) == 3
-            assert "a gadget case needs" in capsys.readouterr().err
+    def test_single_case_options_are_usage_errors(self):
+        # `verify` runs named suites only; `verify_rigidity(n, delta, k,
+        # extra_columns)` is the ad-hoc rigidity check.
+        assert main(["verify", "--suite", "gadget", "--n", "5", "--delta", "1"]) == 3
 
-    def test_extra_selects_a_single_case(self, capsys):
-        assert main(["verify", "--suite", "gadget", "--extra", "3"]) == 3
-        assert main(["verify", "--suite", "gadget", "--n", "5", "--delta", "1",
-                     "--extra", "1"]) == 0
-        assert "extra=1" in capsys.readouterr().out
+    def test_seed_is_not_an_option(self):
+        assert main(["verify", "--suite", "solver", "--seed", "7"]) == 3
 
 
 class TestUsage:
@@ -335,7 +297,6 @@ class TestUsage:
         for value in ("zero", "+1", "1_0", "\u0662", " 2"):
             assert main([*base, "--k", value]) == 3
             assert main([*base, "--k", "2", "--nodes", value]) == 3
-            assert main(["verify", "--suite", "gadget", "--n", "5", "--delta", value]) == 3
             assert main(["gadget", "--n", value, "--delta", "0"]) == 3
         assert main([*base, "--k", "2", "--nodes", "0010"]) == 1  # leading zeros are fine
 
@@ -357,7 +318,7 @@ class TestUsage:
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         actions = [a for sub in commands.choices.values() for a in sub._actions
                    if not isinstance(a, argparse._HelpAction)]
-        assert len(actions) == 28  # -o and --output are one option
+        assert len(actions) == 22  # -o and --output are one option
         options = {
             name: {s for a in sub._actions if not isinstance(a, argparse._HelpAction)
                    for s in a.option_strings}
@@ -366,7 +327,7 @@ class TestUsage:
         assert options == {
             "check": {"--matrix", "--order", "--k", "--delta", "--json"},
             "solve": {"--matrix", "--k", "--delta", "--timeout", "--nodes", "--json"},
-            "gadget": {"--n", "--delta", "--columns", "-o", "--output"},
+            "gadget": {"--n", "--delta", "-o", "--output"},
             "reduce": {"--cnf", "--theorem", "--k", "--delta", "--legend", "-o", "--output"},
-            "verify": {"--suite", "--seed", "--json", "--n", "--delta", "--k", "--extra"},
+            "verify": {"--suite", "--json"},
         }

@@ -1,7 +1,10 @@
-"""README.md's python examples run as written, so every name they use exists."""
+"""README.md's examples are current: python blocks run and CLI lines parse."""
 
 import re
+import shlex
 from pathlib import Path
+
+from gapc1p.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +14,14 @@ def test_readme_python_blocks_run():
     assert blocks, "README.md has no python block"
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_cli_lines_parse():
+    # The parser's error() raises instead of exiting, so a stale option fails here.
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["gapc1p"]]
+    assert commands, "README.md has no gapc1p example"
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -327,7 +327,7 @@ class TestEquivalence:
         assert rep.agree and rep.formula_satisfiable
         rep2 = verify_reduction(cnf_over(1, (1, 1, 1), (-1, -1, -1)), 3, 3)
         assert rep2.agree and not rep2.formula_satisfiable
-        assert rep2.matrix_decision == EXHAUSTED
+        assert rep2.outcome.status == EXHAUSTED
 
     def test_theorem3_one_variable_corpus(self):
         formulas = [Cnf(1, (c,)) for c in ONE_VAR_CLAUSES]
@@ -356,7 +356,7 @@ class TestEquivalence:
     def test_theorem2_repaired_criterion_instance(self):
         rep = verify_reduction(cnf_over(1, (1, 1, 1)), 2, 2, 2)
         assert rep.agree and rep.formula_satisfiable
-        assert rep.matrix_decision == SATISFIED
+        assert rep.outcome.status == SATISFIED
 
     def test_theorem2_uniform_truth_corpus(self):
         # Clauses whose occurrences share one literal exercise both sides of
