@@ -28,7 +28,7 @@ from .bitmatrix import (
 from .reduction import parse_dimacs, reduce_formula
 from .solver import EXHAUSTED, SATISFIED, TIMED_OUT, SearchConfig, SearchStats, decide
 from .gadget import build_gadget
-from .verifysuite import FAIL, run_suite
+from .verifysuite import FAIL, SUITES, run_suite
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -90,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("-o", "--output", default=None)
 
     p_verify = sub.add_parser("verify", help="run the oracle verification suites")
-    p_verify.add_argument("--suite", choices=("gadget", "solver", "reduction", "all"),
-                          required=True)
+    p_verify.add_argument("--suite", choices=SUITES, required=True)
     p_verify.add_argument("--json", action="store_true")
 
     return parser
@@ -174,6 +173,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gadget(args) -> int:
+    if args.n < 0:
+        raise _CliError(f"--n must be >= 0, got {args.n}")
     rows = build_gadget(range(1, args.n + 1), args.delta)
     _write(args.output, serialize_matrix(BinaryMatrix(args.n, rows)))
     return EXIT_HOLDS
@@ -227,8 +228,7 @@ def _cmd_verify(args) -> int:
         }))
     else:
         for r in results:
-            print(f"[{r.case_id}] {r.status.upper():4s} {r.name} "
-                  f"({r.elapsed_seconds:.2f}s) - {r.detail}")
+            print(r.line())
         failed = sum(r.status == FAIL for r in results)
         print(f"{len(results)} cases: {len(results) - failed} passed, {failed} failed")
     return EXIT_FAILS if any(r.status == FAIL for r in results) else EXIT_HOLDS

@@ -32,7 +32,7 @@ from .bitmatrix import (
     BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, first_violating_row, strict_int,
 )
 from .gadget import build_gadget
-from .solver import SATISFIED, TIMED_OUT, SearchConfig, SolveOutcome, decide
+from .solver import SATISFIED, SolveOutcome, decide
 
 ROLE_VARIABLE = "variable"
 ROLE_SEPARATOR = "separator"
@@ -108,8 +108,8 @@ class ReductionOutput:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    formula_satisfiable: bool | None
-    agree: bool | None
+    formula_satisfiable: bool
+    agree: bool
     outcome: SolveOutcome
 
 
@@ -439,18 +439,16 @@ def verify_reduction(
     theorem: int,
     k: int,
     delta: int | None = None,
-    config: SearchConfig | None = None,
 ) -> EquivalenceReport:
     """Check formula satisfiability against the generated matrix's decision.
 
     The instance is ``reduce_formula(cnf, theorem, k, delta)``.
     Runs the exhaustive SAT oracle on one side and the complete ordering
     search on the other; for satisfiable formulas the explicit witness
-    construction is validated end to end.  A timed-out search leaves the
-    agreement unknown.
+    construction is validated end to end.
     """
     output = reduce_formula(cnf, theorem, k, delta)
-    outcome = decide(output.matrix, GapSpec(k, output.params.delta), config)
+    outcome = decide(output.matrix, GapSpec(k, output.params.delta))
     # Some satisfying assignments may not admit the canonical layout (the
     # gapped family tolerates at most one falsified occurrence per clause),
     # so search them all; only a formula with no witness-admitting
@@ -467,8 +465,5 @@ def verify_reduction(
             witness_error = exc
     if witness_error is not None:
         raise witness_error
-    if outcome.status == TIMED_OUT:
-        agree = None
-    else:
-        agree = formula_satisfiable == (outcome.status == SATISFIED)
+    agree = formula_satisfiable == (outcome.status == SATISFIED)
     return EquivalenceReport(formula_satisfiable, agree, outcome)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per verification criterion.
 
-Each criterion prints a single pass/fail line.  All but C8 run through the
-same case functions as the CLI (`gapc1p verify --suite all`), with their
-elapsed time; budgets are enforced inside the cases themselves.
+Each criterion prints a single pass/fail line.  All but C8 are the rows of
+``verifysuite.CASES``, the same table the CLI runs (`gapc1p verify --suite
+all`), with their elapsed time; budgets are enforced by ``run_case``.
 """
 
 import os
@@ -11,65 +11,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gapc1p.reduction import DEVIATIONS
-from gapc1p.verifysuite import (
-    DEFAULT_SEED,
-    PASS,
-    CaseResult,
-    case_classic_agreement,
-    case_collapse_and_reversal,
-    case_embedded_rigidity,
-    case_rigidity,
-    case_row_count_identity,
-    case_solver_oracle,
-    case_theorem2_satisfiable,
-    case_theorem2_stretch,
-    case_theorem3_equivalence,
-)
+from gapc1p.verifysuite import CASES, PASS, run_case
 
 ROOT = Path(__file__).resolve().parents[1]
 REPAIRS = ROOT / "REPAIRS.md"
 
 
-def report(result: CaseResult) -> None:
-    line = (f"[{result.case_id}] {result.status.upper()} {result.name} "
-            f"({result.elapsed_seconds:.2f}s) - {result.detail}")
-    print(line)
-    assert result.status == PASS, line
-
-
-def test_criterion_1_gadget_row_count_identity():
-    report(case_row_count_identity())
-
-
-def test_criterion_2_gadget_rigidity():
-    report(case_rigidity())
-
-
-def test_criterion_3_embedded_rigidity():
-    report(case_embedded_rigidity())
-
-
-def test_criterion_4_solver_oracle_equivalence():
-    report(case_solver_oracle(DEFAULT_SEED))
-
-
-def test_criterion_5_classic_c1p_agreement():
-    report(case_classic_agreement(DEFAULT_SEED))
-
-
-def test_criterion_6_theorem3_reduction_equivalence():
-    report(case_theorem3_equivalence())
-
-
-def test_criterion_7_theorem2_reduction_satisfiable():
-    report(case_theorem2_satisfiable())
-
-
-def test_criterion_7_stretch_theorem2_unsatisfiable_companion():
-    # The deadline rule exhausts it in 18 nodes, well under a second, so it
-    # always runs, here and in `gapc1p verify`.
-    report(case_theorem2_stretch())
+@pytest.mark.parametrize("case_id, suite, name, budget, check", CASES,
+                         ids=[case[0] for case in CASES])
+def test_criterion(case_id, suite, name, budget, check):
+    # C7S, the stretch case, is exhausted in 18 nodes by the deadline rule,
+    # well under a second, so it always runs, here and in `gapc1p verify`.
+    result = run_case(case_id, name, budget, check)
+    print(result.line())
+    assert result.status == PASS, result.line()
 
 
 # Criterion 8 compares two files of the repository, REPAIRS.md and
@@ -118,10 +76,6 @@ def test_criterion_8_ledger_check_rejects_incomplete_ledgers():
     r10 = text.index("## R10 - ")
     blanked = text[:r9] + text[r9:r10].replace("C7", "the criterion") + text[r10:]
     assert ledger_problems(blanked) == ["R9 does not name criterion C7"]
-
-
-def test_criterion_9_collapse_and_reversal_invariants():
-    report(case_collapse_and_reversal(DEFAULT_SEED))
 
 
 def test_reduction_suite_runs_from_an_installed_copy(tmp_path):

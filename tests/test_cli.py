@@ -14,6 +14,7 @@ from gapc1p import (
     serialize_matrix,
 )
 from gapc1p.cli import build_parser, main
+from gapc1p.verifysuite import SUITES, run_suite
 
 TRIPLE_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 CHAIN_TEXT = "2 3\n1 2\n2 3\n"
@@ -180,6 +181,10 @@ class TestGadget:
         assert main(["gadget", "--n", "0", "--delta", "0"]) == 3
         assert "breaks the rigidity hypothesis" in capsys.readouterr().err
 
+    def test_negative_n_names_the_requested_value(self, capsys):
+        assert main(["gadget", "--n", "-3", "--delta", "0"]) == 3
+        assert "--n must be >= 0, got -3" in capsys.readouterr().err
+
     def test_rigidity_check_lives_in_verify(self):
         # `verify_rigidity` is the one rigidity check; the gadget's rows do
         # not depend on k.
@@ -261,7 +266,7 @@ class TestVerify:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert "seed" not in payload  # the solver cases always draw DEFAULT_SEED
+        assert "seed" not in payload  # the solver cases always draw CORPUS_SEED
         assert [c["id"] for c in payload["cases"]] == ["C1", "C2", "C3"]
         assert all(c["status"] == "pass" for c in payload["cases"])
 
@@ -271,6 +276,23 @@ class TestVerify:
         cases = json.loads(capsys.readouterr().out)["cases"]
         assert [c["id"] for c in cases] == ["C6", "C7", "C7S"]
         assert cases[2]["status"] == "pass" and "18 nodes" in cases[2]["detail"]
+
+    def test_suites_run_the_case_table_in_order(self):
+        ids = {suite: [r.case_id for r in run_suite(suite)] for suite in SUITES}
+        assert ids == {
+            "all": ["C1", "C2", "C3", "C4", "C5", "C9", "C6", "C7", "C7S"],
+            "gadget": ["C1", "C2", "C3"],
+            "solver": ["C4", "C5", "C9"],
+            "reduction": ["C6", "C7", "C7S"],
+        }
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+            run_suite("bogus")
+
+    def test_suite_choices_are_the_table_suites(self):
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+        assert tuple(suite.choices) == SUITES
 
     def test_single_case_options_are_usage_errors(self):
         # `verify` runs named suites only; `verify_rigidity(n, delta, k,
