@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -56,6 +57,12 @@ def _bound(text: str) -> int | None:
         raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}")
 
 
+def _seconds(text: str) -> float:
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+)?", text):
+        raise argparse.ArgumentTypeError(f"expected seconds as digits[.digits], got {text!r}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gapc1p", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -71,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--matrix", required=True)
     p_solve.add_argument("--k", type=_bound, required=True)
     p_solve.add_argument("--delta", type=_bound, required=True)
-    p_solve.add_argument("--timeout", type=float, default=None, metavar="SECS")
+    p_solve.add_argument("--timeout", type=_seconds, default=None, metavar="SECS")
     p_solve.add_argument("--nodes", type=strict_int, default=None, metavar="N")
     p_solve.add_argument("--json", action="store_true")
 
@@ -82,9 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", help="generate a hardness instance from a DIMACS CNF")
     p_reduce.add_argument("--cnf", required=True)
-    p_reduce.add_argument("--theorem", type=strict_int, choices=(2, 3), required=True)
-    p_reduce.add_argument("--k", type=strict_int, required=True)
-    p_reduce.add_argument("--delta", type=strict_int, default=None)
+    p_reduce.add_argument("--k", type=_bound, required=True)
+    p_reduce.add_argument("--delta", type=_bound, required=True)
     p_reduce.add_argument("--legend", default=None, metavar="PATH",
                           help="write a JSON column-role sidecar")
     p_reduce.add_argument("-o", "--output", default=None)
@@ -150,8 +156,8 @@ def _outcome_exit(status: str) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if not all(v is None or v >= 0 for v in (args.timeout, args.nodes)):
-        raise _CliError("--timeout and --nodes must be >= 0")
+    if args.nodes is not None and args.nodes < 0:
+        raise _CliError("--nodes must be >= 0")
     matrix = parse_matrix(_read(args.matrix))
     config = SearchConfig(timeout_seconds=args.timeout, node_limit=args.nodes)
     outcome = decide(matrix, GapSpec(args.k, args.delta), config)
@@ -182,7 +188,7 @@ def _cmd_gadget(args) -> int:
 
 def _cmd_reduce(args) -> int:
     cnf = parse_dimacs(_read(args.cnf))
-    output = reduce_formula(cnf, args.theorem, args.k, args.delta)
+    output = reduce_formula(cnf, GapSpec(args.k, args.delta))
     _write(args.output, serialize_matrix(output.matrix))
     if args.legend is not None:
         params = output.params

@@ -4,8 +4,9 @@ Two families of hardness instances are generated from an exactly-3-CNF
 formula with ``n`` variables and ``m`` clauses.  Both share one layout:
 
 * columns ``2i-1, 2i`` form the two-column block of variable ``i``;
-* a *separator* of ``d`` columns follows, carrying a rigidity gadget that
-  pins its internal order (``build_gadget`` checks ``d >= 2*delta + 3``);
+* a *separator* of ``d = max(2k, 2*delta + 3)`` columns follows (``max(2k, 5)``
+  at delta = 1), carrying a rigidity gadget that pins its internal order
+  (``build_gadget`` checks ``d >= 2*delta + 3``);
 * one *clause block* of ``w`` columns per clause closes the matrix
   (``w = 4`` for the block-count family, ``w = 5`` for the gapped family).
 
@@ -185,7 +186,7 @@ def parse_dimacs(text: str) -> Cnf:
         raise DimacsFormatError("missing problem line")
     if literals:
         raise DimacsFormatError("last clause is missing its terminating 0")
-    if num_clauses is not None and len(clauses) != num_clauses:
+    if len(clauses) != num_clauses:
         raise DimacsFormatError(
             f"header announces {num_clauses} clauses, found {len(clauses)}"
         )
@@ -309,15 +310,10 @@ def _literal_row(
     return tuple(sorted(cols))
 
 
-def _build(
-    cnf: Cnf,
-    theorem: int,
-    k: int,
-    delta: int,
-    d: int,
-    width: int,
-    tail_start: int,
-) -> ReductionOutput:
+def _build(cnf: Cnf, k: int, delta: int) -> ReductionOutput:
+    # delta = 1 is the block-count family (theorem 3), delta >= 2 the gapped one.
+    theorem, width, tail_start = (3, 4, 2 * k - 5) if delta == 1 else (2, 5, 2 * k - 3)
+    d = max(2 * k, 2 * delta + 3)
     n, m = cnf.num_vars, len(cnf.clauses)
     sep = 2 * n
     num_columns = 2 * n + d + width * m
@@ -341,17 +337,18 @@ def _build(
 def reduce_theorem3(cnf3: Cnf, k: int) -> ReductionOutput:
     """Instance family for the block-count bound with unit gaps (k >= 3, delta = 1)."""
     if k < 3:
-        raise ValueError("this family requires k >= 3")
+        raise ValueError("the block-count family requires k >= 3; (2,1) is the "
+                         "paper's open case and has no hardness family")
     _require_exact3(cnf3)
-    d = max(2 * k, 5)
-    return _build(cnf3, 3, k, 1, d, width=4, tail_start=2 * k - 5)
+    return _build(cnf3, k, 1)
 
 
 def reduce_theorem2(cnf3: Cnf, k: int, delta: int) -> ReductionOutput:
     """Instance family for the jointly gapped bound (k >= 2, delta >= 2).
 
     The separator is max{2k, 2*delta+3} wide, not the printed max{2k, 5}, so
-    the rigidity gadget's hypothesis holds (REPAIRS.md R7).
+    the rigidity gadget's hypothesis holds (REPAIRS.md R7); the block-count
+    family uses the same width, which is max{2k, 5} at delta = 1.
     """
     if k < 2:
         raise ValueError("this family requires k >= 2")
@@ -359,27 +356,21 @@ def reduce_theorem2(cnf3: Cnf, k: int, delta: int) -> ReductionOutput:
         raise ValueError("this family requires delta >= 2; use the k >= 3 "
                          "family for delta = 1")
     _require_exact3(cnf3)
-    d = max(2 * k, 2 * delta + 3)
-    return _build(cnf3, 2, k, delta, d, width=5, tail_start=2 * k - 3)
+    return _build(cnf3, k, delta)
 
 
-def reduce_formula(cnf: Cnf, theorem: int, k: int, delta: int | None = None) -> ReductionOutput:
-    """The instance of one theorem's family for any CNF, normalized by ``to_exact3``.
+def reduce_formula(cnf: Cnf, spec: GapSpec) -> ReductionOutput:
+    """The hardness instance for ``spec`` of any CNF, normalized by ``to_exact3``.
 
-    Theorem 3 picks the block-count family, which is defined at delta = 1;
-    theorem 2 picks the gapped family, which needs a delta.  A delta the
-    chosen family would ignore is rejected.
+    delta = 1 picks the block-count family (k >= 3) and delta >= 2 the
+    gapped family (k >= 2); (2,1) and the classical specs have none.
     """
+    if spec.k is None or spec.delta is None:
+        raise ValueError(f"the hardness families need a finite k and delta, got {spec}")
     cnf3 = to_exact3(cnf)
-    if theorem == 3:
-        if delta not in (None, 1):
-            raise ValueError("the block-count family (theorem 3) is defined at delta = 1")
-        return reduce_theorem3(cnf3, k)
-    if theorem == 2:
-        if delta is None:
-            raise ValueError("the gapped family (theorem 2) needs a delta")
-        return reduce_theorem2(cnf3, k, delta)
-    raise ValueError(f"theorem must be 2 or 3, got {theorem}")
+    if spec.delta == 1:
+        return reduce_theorem3(cnf3, spec.k)
+    return reduce_theorem2(cnf3, spec.k, spec.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +425,16 @@ def witness_from_assignment(
     return ordering
 
 
-def verify_reduction(
-    cnf: Cnf,
-    theorem: int,
-    k: int,
-    delta: int | None = None,
-) -> EquivalenceReport:
+def verify_reduction(cnf: Cnf, spec: GapSpec) -> EquivalenceReport:
     """Check formula satisfiability against the generated matrix's decision.
 
-    The instance is ``reduce_formula(cnf, theorem, k, delta)``.
+    The instance is ``reduce_formula(cnf, spec)``.
     Runs the exhaustive SAT oracle on one side and the complete ordering
     search on the other; for satisfiable formulas the explicit witness
     construction is validated end to end.
     """
-    output = reduce_formula(cnf, theorem, k, delta)
-    outcome = decide(output.matrix, GapSpec(k, output.params.delta))
+    output = reduce_formula(cnf, spec)
+    outcome = decide(output.matrix, spec)
     # Some satisfying assignments may not admit the canonical layout (the
     # gapped family tolerates at most one falsified occurrence per clause),
     # so search them all; only a formula with no witness-admitting

@@ -172,9 +172,9 @@ def collapse_and_reversal() -> str:
 def theorem3_equivalence() -> str:
     sat = Cnf(1, ((1, 1, 1),))
     unsat = Cnf(1, ((1, 1, 1), (-1, -1, -1)))
-    rep = verify_reduction(sat, 3, 3)
+    rep = verify_reduction(sat, GapSpec(3, 1))
     assert rep.agree and rep.formula_satisfiable, f"sat side: {rep}"
-    rep2 = verify_reduction(unsat, 3, 3)
+    rep2 = verify_reduction(unsat, GapSpec(3, 1))
     assert rep2.agree and not rep2.formula_satisfiable, f"unsat side: {rep2}"
     assert rep2.outcome.status == "exhausted"
     return (
@@ -184,13 +184,13 @@ def theorem3_equivalence() -> str:
 
 
 def theorem2_satisfiable() -> str:
-    rep = verify_reduction(Cnf(1, ((1, 1, 1),)), 2, 2, 2)
+    rep = verify_reduction(Cnf(1, ((1, 1, 1),)), GapSpec(2, 2))
     assert rep.agree and rep.formula_satisfiable, f"{rep}"
     return "14-column instance satisfiable; witness validated end to end"
 
 
 def theorem2_stretch() -> str:
-    rep = verify_reduction(Cnf(1, ((1, 1, 1), (-1, -1, -1))), 2, 2, 2)
+    rep = verify_reduction(Cnf(1, ((1, 1, 1), (-1, -1, -1))), GapSpec(2, 2))
     assert rep.agree and not rep.formula_satisfiable, f"{rep}"
     assert rep.outcome.status == "exhausted"
     stats = rep.outcome.stats

@@ -115,7 +115,11 @@ class TestSolve:
         assert main([*base, "--nodes", "-1"]) == 3
         assert main([*base, "--timeout", "-5"]) == 3
         assert main([*base, "--timeout", "nan"]) == 3
+        # Seconds follow the integer token rule plus an optional .digits part.
+        for token in ("1_0", "+5", "\u0663", " 2", "1e1"):
+            assert main([*base, "--timeout", token]) == 3, token
         assert main([*base, "--nodes", "0"]) == 2
+        assert main([*base, "--timeout", "2.5"]) == 0
 
     def test_internal_error_is_not_a_verdict(self, triple, monkeypatch, capsys):
         def crash(*args, **kwargs):
@@ -206,13 +210,13 @@ class TestReduce:
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
         out = tmp_path / "m.txt"
         legend = tmp_path / "legend.json"
-        code = main(["reduce", "--cnf", str(cnf), "--theorem", "3", "--k", "3",
+        code = main(["reduce", "--cnf", str(cnf), "--k", "3", "--delta", "1",
                      "-o", str(out), "--legend", str(legend)])
         assert code == 0
         matrix = parse_matrix(out.read_text())
         assert matrix.num_columns == 12 and matrix.num_rows == 14
         payload = json.loads(legend.read_text())
-        assert payload["d"] == 6
+        assert payload["theorem"] == 3 and payload["d"] == 6
         assert len(payload["columns"]) == 12
         roles = {c["column"]: c["role"] for c in payload["columns"]}
         assert roles[1] == "variable" and roles[3] == "separator" and roles[12] == "clause"
@@ -222,40 +226,53 @@ class TestReduce:
         # printed width max{2k, 5} is not offered.
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
         legend = tmp_path / "legend.json"
-        assert main(["reduce", "--cnf", str(cnf), "--theorem", "2", "--k", "2",
-                     "--delta", "2", "--legend", str(legend)]) == 0
+        assert main(["reduce", "--cnf", str(cnf), "--k", "2", "--delta", "2",
+                     "--legend", str(legend)]) == 0
         assert parse_matrix(capsys.readouterr().out).num_columns == 14
         assert json.loads(legend.read_text())["d"] == 7
 
     def test_variant_is_not_an_option(self, tmp_path):
-        # One Theorem-2 construction, so neither theorem takes --variant and
+        # One Theorem-2 construction, so neither family takes --variant and
         # the legend names no variant.
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
-        for theorem in (["--theorem", "2", "--k", "2", "--delta", "2"],
-                        ["--theorem", "3", "--k", "3"]):
-            assert main(["reduce", "--cnf", str(cnf), *theorem,
+        for spec in (["--k", "2", "--delta", "2"], ["--k", "3", "--delta", "1"]):
+            assert main(["reduce", "--cnf", str(cnf), *spec,
                          "--variant", "literal"]) == 3
         legend = tmp_path / "legend.json"
-        assert main(["reduce", "--cnf", str(cnf), "--theorem", "2", "--k", "2",
+        assert main(["reduce", "--cnf", str(cnf), "--k", "2",
                      "--delta", "2", "-o", str(tmp_path / "m.txt"),
                      "--legend", str(legend)]) == 0
         assert "variant" not in json.loads(legend.read_text())
 
-    def test_theorem3_is_defined_at_delta_one(self, tmp_path):
+    def test_delta_above_one_builds_the_gapped_family(self, tmp_path):
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
-        base = ["reduce", "--cnf", str(cnf), "--theorem", "3", "--k", "3",
-                "-o", str(tmp_path / "m.txt")]
-        assert main([*base, "--delta", "2"]) == 3
-        assert main([*base, "--delta", "1"]) == 0
+        legend = tmp_path / "legend.json"
+        assert main(["reduce", "--cnf", str(cnf), "--k", "3", "--delta", "2",
+                     "-o", str(tmp_path / "m.txt"), "--legend", str(legend)]) == 0
+        payload = json.loads(legend.read_text())
+        assert payload["theorem"] == 2 and payload["d"] == 7
+
+    def test_the_spec_alone_picks_the_family(self, tmp_path):
+        cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
+        base = ["reduce", "--cnf", str(cnf), "-o", str(tmp_path / "m.txt")]
+        assert main([*base, "--theorem", "3", "--k", "3", "--delta", "1"]) == 3
+        assert main([*base, "--k", "inf", "--delta", "2"]) == 3
+        assert main([*base, "--k", "3", "--delta", "inf"]) == 3
+        assert main([*base, "--k", "0", "--delta", "2"]) == 3
 
     def test_theorem2_requires_delta(self, tmp_path):
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
-        assert main(["reduce", "--cnf", str(cnf), "--theorem", "2", "--k", "2"]) == 3
+        assert main(["reduce", "--cnf", str(cnf), "--k", "2"]) == 3
+
+    def test_open_case_has_no_family(self, tmp_path, capsys):
+        cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
+        assert main(["reduce", "--cnf", str(cnf), "--k", "2", "--delta", "1"]) == 3
+        assert "(2,1) is the paper's open case" in capsys.readouterr().err
 
     def test_generated_instance_solves_end_to_end(self, tmp_path, capsys):
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
         out = tmp_path / "m.txt"
-        assert main(["reduce", "--cnf", str(cnf), "--theorem", "3", "--k", "3",
+        assert main(["reduce", "--cnf", str(cnf), "--k", "3", "--delta", "1",
                      "-o", str(out)]) == 0
         assert main(["solve", "--matrix", str(out), "--k", "3", "--delta", "1"]) == 0
 
@@ -340,7 +357,7 @@ class TestUsage:
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         actions = [a for sub in commands.choices.values() for a in sub._actions
                    if not isinstance(a, argparse._HelpAction)]
-        assert len(actions) == 22  # -o and --output are one option
+        assert len(actions) == 21  # -o and --output are one option
         options = {
             name: {s for a in sub._actions if not isinstance(a, argparse._HelpAction)
                    for s in a.option_strings}
@@ -350,6 +367,6 @@ class TestUsage:
             "check": {"--matrix", "--order", "--k", "--delta", "--json"},
             "solve": {"--matrix", "--k", "--delta", "--timeout", "--nodes", "--json"},
             "gadget": {"--n", "--delta", "-o", "--output"},
-            "reduce": {"--cnf", "--theorem", "--k", "--delta", "--legend", "-o", "--output"},
+            "reduce": {"--cnf", "--k", "--delta", "--legend", "-o", "--output"},
             "verify": {"--suite", "--json"},
         }

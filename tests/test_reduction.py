@@ -162,7 +162,7 @@ class TestTheorem3Shape:
         assert out.matrix.num_rows == 19
 
     def test_k_below_three_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="open case"):
             reduce_theorem3(cnf_over(1, (1, 1, 1)), 2)
 
     def test_arity_enforced(self):
@@ -237,20 +237,23 @@ class TestTheorem2Shape:
 
 
 class TestReduceFormula:
-    def test_picks_the_family_by_theorem(self):
+    def test_the_spec_picks_the_family(self):
         phi = cnf_over(1, (1, -1))  # normalized to exactly three literals
-        assert reduce_formula(phi, 3, 3) == reduce_theorem3(to_exact3(phi), 3)
-        assert reduce_formula(phi, 3, 3, delta=1) == reduce_theorem3(to_exact3(phi), 3)
-        assert reduce_formula(phi, 2, 2, 2) == reduce_theorem2(to_exact3(phi), 2, 2)
+        phi3 = to_exact3(phi)
+        for k, delta in ((3, 1), (4, 1), (2, 2), (3, 2), (2, 3)):
+            family = reduce_theorem3(phi3, k) if delta == 1 else reduce_theorem2(phi3, k, delta)
+            assert reduce_formula(phi, GapSpec(k, delta)) == family
 
-    def test_rejects_what_the_family_ignores(self):
+    def test_specs_without_a_family_are_rejected(self):
         phi = cnf_over(1, (1, 1, 1))
-        with pytest.raises(ValueError, match="delta = 1"):
-            verify_reduction(phi, 3, 3, delta=5)
-        with pytest.raises(ValueError, match="needs a delta"):
-            reduce_formula(phi, 2, 2)
-        with pytest.raises(ValueError, match="theorem must be 2 or 3"):
-            reduce_formula(phi, 4, 3)
+        with pytest.raises(ValueError, match=r"\(2,1\) is the paper's open case"):
+            reduce_formula(phi, GapSpec(2, 1))
+        for k, delta in ((1, 2), (3, 0), (None, 1), (3, None)):
+            with pytest.raises(ValueError):
+                reduce_formula(phi, GapSpec(k, delta))
+        # The old (cnf, theorem, k) form must not build a (3,3) instance.
+        with pytest.raises(TypeError):
+            verify_reduction(phi, 3, 3)
 
 
 class TestWitness:
@@ -323,9 +326,9 @@ class TestForcedGapMechanism:
 
 class TestEquivalence:
     def test_theorem3_criterion_instances(self):
-        rep = verify_reduction(cnf_over(1, (1, 1, 1)), 3, 3)
+        rep = verify_reduction(cnf_over(1, (1, 1, 1)), GapSpec(3, 1))
         assert rep.agree and rep.formula_satisfiable
-        rep2 = verify_reduction(cnf_over(1, (1, 1, 1), (-1, -1, -1)), 3, 3)
+        rep2 = verify_reduction(cnf_over(1, (1, 1, 1), (-1, -1, -1)), GapSpec(3, 1))
         assert rep2.agree and not rep2.formula_satisfiable
         assert rep2.outcome.status == EXHAUSTED
 
@@ -337,7 +340,7 @@ class TestEquivalence:
         ]
         assert len(formulas) == 14
         for f in formulas:
-            rep = verify_reduction(f, 3, 3)
+            rep = verify_reduction(f, GapSpec(3, 1))
             assert rep.agree, f
 
     def test_theorem3_two_variable_samples(self):
@@ -349,12 +352,12 @@ class TestEquivalence:
             f = Cnf(2, tuple(
                 tuple(rng.choice(lits) for _ in range(3)) for _ in range(m)
             ))
-            rep = verify_reduction(f, 3, 3)
+            rep = verify_reduction(f, GapSpec(3, 1))
             assert rep.agree, f
             seen += 1
 
     def test_theorem2_repaired_criterion_instance(self):
-        rep = verify_reduction(cnf_over(1, (1, 1, 1)), 2, 2, 2)
+        rep = verify_reduction(cnf_over(1, (1, 1, 1)), GapSpec(2, 2))
         assert rep.agree and rep.formula_satisfiable
         assert rep.outcome.status == SATISFIED
 
@@ -363,11 +366,11 @@ class TestEquivalence:
         # the gapped family's game without its documented k=2 limitation.
         for f in (cnf_over(1, (1, 1, 1)), cnf_over(1, (-1, -1, -1)),
                   cnf_over(1, (1, 1, 1), (1, 1, 1))):
-            rep = verify_reduction(f, 2, 2, 2)
+            rep = verify_reduction(f, GapSpec(2, 2))
             assert rep.agree and rep.formula_satisfiable, f
 
     def test_theorem2_k3_mixed_clause(self):
-        rep = verify_reduction(cnf_over(1, (1, 1, -1)), 2, 3, 2)
+        rep = verify_reduction(cnf_over(1, (1, 1, -1)), GapSpec(3, 2))
         assert rep.agree and rep.formula_satisfiable
 
     def test_r9_sweep_of_small_formulas(self):
