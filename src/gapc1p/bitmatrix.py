@@ -184,7 +184,12 @@ def first_violating_row(
     one block/gap row check of the package; callers pass all rows at once.
     """
     for i, row in enumerate(rows):
-        ps = sorted([position[c] for c in row])
+        ps = [position[c] for c in row]
+        # A long solid block skips the sort; below 32 ones, min and max cost
+        # more than the sort they can save.
+        if len(ps) > 32 and max(ps) - min(ps) < len(ps):
+            continue
+        ps.sort()
         if not ps or ps[-1] - ps[0] < len(ps):
             continue  # empty, or a single solid block
         blocks = 1

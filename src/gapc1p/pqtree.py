@@ -3,13 +3,23 @@
 Two rows overlap when they share a column and neither contains the other.
 The rows of one connected overlap component fix the order of their column
 classes (columns that lie in the same rows of the component) up to reversal
-(Fulkerson and Gross, "Incidence matrices and interval graphs", 1965).  A
-breadth-first search over overlaps adds each row next to a row already
-placed, so the row either fits the component's ordered class list, which it
-then refines, or proves that no ordering exists.  Component unions are
-nested or disjoint, and a component that lies inside another lies inside
-one of its classes, so the orderings nest into one.  Every pass is a loop;
-no input depth reaches the recursion limit.
+(Fulkerson and Gross, "Incidence matrices and interval graphs", 1965).
+
+One pass over the ones labels the components: rows come largest first, so
+a row overlaps exactly the earlier rows that meet it and do not contain it,
+and a union-find over those row masks keeps one overlap per join as an edge
+of a spanning forest.  A breadth-first walk of each tree then adds every row
+next to an overlapping row already placed, so the row either fits the
+component's linked list of classes, which it then refines, or proves that no
+ordering exists.  A fit visits only the classes the row hits and relabels
+only the row's own columns, and new columns go past either end, so nothing
+is reversed.  The pass costs three row-mask operations per one (a mask has
+a bit per row), and the fits about the size of the rows.
+
+Component unions are nested or disjoint, and a component that lies inside
+another lies inside one of its classes and has smaller rows, so it is
+walked later and finds its class through its first column.  Every pass is a
+loop; no input depth reaches the recursion limit.
 
 The module keeps the name ``pqtree`` of the PQ-tree it replaced, because
 callers, including the benchmark harness, import it by that name.
@@ -17,104 +27,151 @@ callers, including the benchmark harness, import it by that name.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import Iterable, Sequence
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The 1-based positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
+class _Classes:
+    """Ordered column classes: sizes and (left, right) links, -1 at an end.
 
-
-def _fit(classes: list[int], union: int, row: int) -> int | None:
-    """Refine the ordered classes by a row that overlaps one of their rows.
-
-    Returns the new union, or None if the row cannot be consecutive.
+    ``where`` maps each column to its class in the innermost component
+    walked so far that holds it.  Class 0 is the universe, and class ids
+    grow, so a component's classes are those from its first id on.
     """
-    new = row & ~union
-    if new:
-        # New columns go past an end class the row touches; if it touches
-        # both, past the one it fills (it cannot fill both: a row that
-        # overlaps a placed row does not contain their union).
-        last = classes[-1]
-        if not last & row or (last & ~row and classes[0] & row):
-            classes.reverse()
-        classes.append(new)
-    hit = [i for i, x in enumerate(classes) if x & row]
-    lo, hi = hit[0], hit[-1]
-    if hi - lo + 1 != len(hit) or any(classes[i] & ~row for i in hit[1:-1]):
-        return None
-    # Split partial end classes so the row's part faces inward.
-    x = classes[hi]
-    if x & ~row:
-        classes[hi:hi + 1] = [x & row, x & ~row]
-    x = classes[lo]
-    if x & ~row:
-        classes[lo:lo + 1] = [x & ~row, x & row]
-    return union | row
+
+    def __init__(self, num_columns: int) -> None:
+        self.size = [num_columns]
+        self.links = [[-1, -1]]
+        self.where = [0] * (num_columns + 1)
+
+    def add(self, cols: Sequence[int], left: int = -1, right: int = -1) -> int:
+        """A new class of cols between left and right (each -1 or a class)."""
+        x = len(self.size)
+        self.size.append(len(cols))
+        self.links.append([left, right])
+        if left >= 0:
+            self.links[left][1] = x
+        if right >= 0:
+            self.links[right][0] = x
+        for c in cols:
+            self.where[c] = x
+        return x
+
+    def fit(self, base: int, ends: list[int], row: Sequence[int]) -> bool:
+        """Refine the classes of a component by a row that overlaps one of its rows.
+
+        The component's classes are those from id ``base`` on, and ``ends``
+        holds its (first, last) class and is updated.  Returns False if the
+        row cannot be consecutive.
+        """
+        hit: dict[int, list[int]] = {}  # class -> the row's columns in it
+        new = []
+        for c in row:
+            x = self.where[c]
+            if x < base:
+                new.append(c)
+            else:
+                hit.setdefault(x, []).append(c)
+        # Walk outward from one hit class; the hit classes must form one run.
+        start = next(iter(hit))
+        run, count = [start, start], 1
+        for side in (0, 1):
+            y = self.links[start][side]
+            while y in hit:
+                run[side], count = y, count + 1
+                y = self.links[y][side]
+        if count != len(hit):
+            return False
+        if new:
+            # New columns go past an end class the row touches; if it touches
+            # both, past the one it fills (it cannot fill both: a row that
+            # overlaps a placed row does not contain their union).
+            fills_last = len(hit[run[1]]) == self.size[run[1]]
+            side = 1 if run[1] == ends[1] and (run[0] != ends[0] or fills_last) else 0
+            if run[side] != ends[side]:
+                return False
+            x = self.add(new, *((ends[1], -1) if side else (-1, ends[0])))
+            hit[x] = new
+            run[side] = ends[side] = x
+        if any(len(hit[x]) != self.size[x] for x in hit if x not in run):
+            return False
+        # Split partial end classes so the row's part faces inward; the run
+        # has two classes, because the row is not inside one class.
+        for side, x in enumerate(run):
+            part = hit[x]
+            if len(part) < self.size[x]:
+                self.size[x] -= len(part)
+                inner = self.links[x][1 - side]
+                self.add(part, *((x, inner) if side == 0 else (inner, x)))
+        return True
 
 
 def consecutive_ordering(num_columns: int, rows: Iterable[Sequence[int]]) -> list[int] | None:
     """Order 1..num_columns so every row is consecutive, or None if impossible."""
-    by_mask: dict[int, tuple[int, ...]] = {}
-    for row in rows:
-        cols = tuple(set(row))
-        if len(cols) >= 2:
-            by_mask.setdefault(sum(1 << (c - 1) for c in cols), cols)
-    work = sorted(by_mask.items(), key=lambda item: -len(item[1]))  # largest first
-    masks = [mask for mask, _ in work]
-    index = [0] * (num_columns + 1)  # column -> mask of the rows holding it
-    for r, (_, cols) in enumerate(work):
-        for c in cols:
-            index[c] |= 1 << r
+    distinct = dict.fromkeys(tuple(sorted(set(row))) for row in rows)
+    work = [row for row in distinct if len(row) >= 2]
+    work.sort(key=len, reverse=True)  # largest first
 
-    comps: list[tuple[list[int], int, int]] = []  # (classes, union, rows)
-    unseen = (1 << len(masks)) - 1
-    while unseen:
-        first = (unseen & -unseen).bit_length() - 1
-        unseen ^= 1 << first
-        classes, union, queue = [masks[first]], masks[first], [first]
+    # Rows are distinct and no larger than the rows before them, so an
+    # earlier row that meets row r and does not contain it overlaps it.  Each
+    # step joins two components and keeps that overlap as a forest edge.
+    index = [0] * (num_columns + 1)  # column -> mask of the earlier rows holding it
+    up = list(range(len(work)))  # union-find parents
+    members = [1 << r for r in range(len(work))]  # root -> its rows
+    edges: list[list[int]] = [[] for _ in work]
+    for r, row in enumerate(work):
+        meet, contain, bit = 0, -1, 1 << r
+        for c in row:
+            rows_c = index[c]
+            meet |= rows_c
+            contain &= rows_c
+            index[c] = rows_c | bit
+        todo = meet & ~contain
+        while todo:
+            j = (todo & -todo).bit_length() - 1
+            root = j
+            while up[root] != root:
+                up[root] = up[up[root]]
+                root = up[root]
+            todo &= ~members[root]
+            up[root] = r
+            members[r] |= members[root]
+            members[root] = 0
+            edges[r].append(j)
+            edges[j].append(r)
+
+    # A component's first row is its largest, so the components holding it
+    # were walked before, and its first column's class is the one it lies in.
+    classes = _Classes(num_columns)
+    inside: dict[int, list[list[int]]] = {}  # class -> ends of the components inside it
+    seen = [False] * len(work)
+    for first, row in enumerate(work):
+        if seen[first]:
+            continue
+        seen[first] = True
+        holder = classes.where[row[0]]
+        base = classes.add(row)
+        ends, queue = [base, base], [first]
         for r in queue:
-            meet, contain = 0, -1
-            for c in work[r][1]:
-                meet |= index[c]
-                contain &= index[c]
-            # Rows that meet r, do not contain it and are not inside it.
-            for j in _bits(meet & ~contain & unseen):
-                j -= 1
-                if masks[j] & ~masks[r]:
-                    union = _fit(classes, union, masks[j])
-                    if union is None:
+            for j in edges[r]:
+                if not seen[j]:
+                    if not classes.fit(base, ends, work[j]):
                         return None
-                    unseen ^= 1 << j
+                    seen[j] = True
                     queue.append(j)
-        comps.append((classes, union, len(queue)))
+        inside.setdefault(holder, []).append(ends)
 
-    # Smallest union first; on a tie the single row equal to the union comes
-    # last, so it holds the other component.  The whole universe holds all.
-    comps.sort(key=lambda comp: (comp[1].bit_count(), -comp[2]))
-    everything = (1 << num_columns) - 1
-    comps.append(([everything], everything, 0))
-    tops = 0  # the first column of every component not yet placed inside another
-    holder: dict[int, int] = {}  # first column -> component
-    inside: dict[tuple[int, int], list[int]] = {}  # (component, class) -> components
-    for ci, (classes, union, _) in enumerate(comps):
-        for c in _bits(tops & union):
-            child = holder.pop(c)
-            i = next(i for i, x in enumerate(classes) if x >> (c - 1) & 1)
-            classes[i] &= ~comps[child][1]  # the child emits its own columns
-            inside.setdefault((ci, i), []).append(child)
-        tops = tops & ~union | union & -union
-        holder[(union & -union).bit_length()] = ci
-
+    # Each class emits the columns no inner component took, then those components.
+    own: list[list[int]] = [[] for _ in classes.size]
+    for c in range(1, num_columns + 1):
+        own[classes.where[c]].append(c)
     order: list[int] = []
-    stack = [(len(comps) - 1, 0)]
+    stack = [0]
     while stack:
-        ci, i = stack.pop()
-        order.extend(_bits(comps[ci][0][i]))
-        for child in inside.get((ci, i), ()):
-            stack.extend((child, j) for j in reversed(range(len(comps[child][0]))))
+        x = stack.pop()
+        order.extend(own[x])
+        for ends in inside.get(x, ()):
+            y = ends[1]  # push the component's classes last first
+            while y >= 0:
+                stack.append(y)
+                y = classes.links[y][0]
     return order

@@ -351,9 +351,9 @@ def reduce_theorem2(cnf3: Cnf, k: int, delta: int) -> ReductionOutput:
     family uses the same width, which is max{2k, 5} at delta = 1.
     """
     if k < 2:
-        raise ValueError("this family requires k >= 2")
+        raise ValueError("the gapped family requires k >= 2")
     if delta < 2:
-        raise ValueError("this family requires delta >= 2; use the k >= 3 "
+        raise ValueError("the gapped family requires delta >= 2; use the k >= 3 "
                          "family for delta = 1")
     _require_exact3(cnf3)
     return _build(cnf3, k, delta)
@@ -365,6 +365,8 @@ def reduce_formula(cnf: Cnf, spec: GapSpec) -> ReductionOutput:
     delta = 1 picks the block-count family (k >= 3) and delta >= 2 the
     gapped family (k >= 2); (2,1) and the classical specs have none.
     """
+    if spec.k == 1 or spec.delta == 0:
+        raise ValueError(f"{spec} is the classical C1P, polynomial, no hardness family")
     if spec.k is None or spec.delta is None:
         raise ValueError(f"the hardness families need a finite k and delta, got {spec}")
     cnf3 = to_exact3(cnf)

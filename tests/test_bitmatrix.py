@@ -170,6 +170,18 @@ class TestCheck:
         report = check_ordering(m, ColumnOrdering.identity(3), GapSpec(1, 0))
         assert report.first_violation.row_index == 2
 
+    def test_long_rows_skip_the_sort_only_when_solid(self):
+        # Rows above 32 ones are checked by span first; a long row with a
+        # gap must still be sorted and reported.
+        row = tuple(range(1, 41))
+        solid = [0] + random.Random(5).sample(range(1, 41), 40) + [41, 42, 43, 44, 45]
+        assert first_violating_row([row], solid, 1, 0) == -1
+        gapped = list(range(46))
+        gapped[40], gapped[45] = 45, 40  # a gap of 5 before column 40
+        assert first_violating_row([row], gapped, 1, 0) == 0
+        assert first_violating_row([row], gapped, 2, 4) == 0
+        assert first_violating_row([row], gapped, 2, 5) == -1
+
     def test_universe_mismatch(self):
         m = BinaryMatrix(3, ((1, 2),))
         with pytest.raises(ValueError):

@@ -269,6 +269,14 @@ class TestReduce:
         assert main(["reduce", "--cnf", str(cnf), "--k", "2", "--delta", "1"]) == 3
         assert "(2,1) is the paper's open case" in capsys.readouterr().err
 
+    def test_classical_specs_have_no_family(self, tmp_path, capsys):
+        cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
+        for k, delta in (("3", "0"), ("1", "2")):
+            assert main(["reduce", "--cnf", str(cnf), "--k", k, "--delta", delta]) == 3
+            err = capsys.readouterr().err
+            assert "classical C1P, polynomial, no hardness family" in err
+            assert "k >= 3 family" not in err
+
     def test_generated_instance_solves_end_to_end(self, tmp_path, capsys):
         cnf = self.write_cnf(tmp_path, "p cnf 1 1\n1 1 1 0\n")
         out = tmp_path / "m.txt"

@@ -222,7 +222,7 @@ class TestTheorem2Shape:
             reduce_theorem2(cnf_over(1, (1, 1, 1)), 2, 1)
 
     def test_k_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the gapped family requires k >= 2"):
             reduce_theorem2(cnf_over(1, (1, 1, 1)), 1, 2)
 
     def test_clause_blocks_disjoint_and_five_wide(self):
@@ -248,8 +248,11 @@ class TestReduceFormula:
         phi = cnf_over(1, (1, 1, 1))
         with pytest.raises(ValueError, match=r"\(2,1\) is the paper's open case"):
             reduce_formula(phi, GapSpec(2, 1))
-        for k, delta in ((1, 2), (3, 0), (None, 1), (3, None)):
-            with pytest.raises(ValueError):
+        for k, delta in ((1, 2), (3, 0), (None, 0), (1, None)):
+            with pytest.raises(ValueError, match="classical C1P, polynomial, no hardness family"):
+                reduce_formula(phi, GapSpec(k, delta))
+        for k, delta in ((None, 1), (3, None)):
+            with pytest.raises(ValueError, match="finite k and delta"):
                 reduce_formula(phi, GapSpec(k, delta))
         # The old (cnf, theorem, k) form must not build a (3,3) instance.
         with pytest.raises(TypeError):
