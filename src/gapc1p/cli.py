@@ -170,9 +170,11 @@ def _cmd_solve(args) -> int:
     else:
         if outcome.witness is not None:
             sys.stdout.write(serialize_ordering(outcome.witness))
+        prunes = ",".join(f"{rule}:{outcome.stats.prunes.get(rule, 0)}"
+                          for rule in ("blocks", "forced", "deadline", "symmetry"))
         print(
             f"status={outcome.status} nodes={outcome.stats.nodes_expanded} "
-            f"elapsed={outcome.stats.elapsed_seconds:.2f}s",
+            f"elapsed={outcome.stats.elapsed_seconds:.2f}s prunes={prunes}",
             file=sys.stderr,
         )
     return _outcome_exit(outcome.status)

@@ -16,6 +16,15 @@ All three rules are necessary conditions, so an exhausted search is a proof
 that no ordering exists.  The search is one loop over an explicit stack of
 immutable states, so depth is not limited by the recursion limit.
 
+Each candidate counts as one node and is judged in a fixed order; a rejected
+one is counted once, under the first rule that fires.  Three tests need only
+the parent, so they run before the child state is built: the blocks rule,
+against a mask of the columns each frame may take, then two deadline tests,
+that the column lies in the parent's smallest tight union and that a free
+column does not start rows with too little slack.  The child is then built,
+and the forced rule (no column may come next) and Hall's condition on the
+child come last.
+
 ``brute_force`` is the ground-truth oracle for small universes: an
 exhaustive enumeration that cuts dead prefixes, with exact counts and
 lexicographic witnesses.  ``classic_c1p`` is the special case with one block
@@ -140,7 +149,8 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             fresh[c].append((rem + min(k_eff - 1, rem) * d_eff + 1, masks[ri] ^ 1 << (c - 1)))
     col_ops = [(1 << c >> 1, rows, near[c], ~(rows * ones), rows * (top - d_eff))
                for c, rows in enumerate(col_rows)]
-    bound_mask = {1 << (width * ri + shift): mask for ri, mask in enumerate(masks)}
+    # Row masks keyed by the top bit of the row's field.
+    row_mask = {1 << (width * ri + shift): mask for ri, mask in enumerate(masks)}
 
     bit_first = 1
     bit_last = 1 << (n_cols - 1)
@@ -148,14 +158,10 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     node_limit = cfg.node_limit
     nodes = 0
 
-    def place(state: _State, c: int) -> _State | None:
-        """The state after placing column c next, or None if a row needs too many blocks."""
+    def place(state: _State, c: int) -> _State:
+        """The state after placing column c next; c must fit the parent's blocks mask."""
         unplaced, touched, _, active, gap, blocks, gaps, placed, prefix = state
         bit, rows, reach, keep, base = col_ops[c]
-        # An active row at the block limit fails if c ends its gap, or if c
-        # opens a gap in it while it still has ones to place.
-        if ((blocks & tops) >> shift) & active & ~(gap ^ rows):
-            return None
         unplaced ^= bit
         blocks += rows & ~(active ^ gap)
         placed += rows
@@ -169,20 +175,24 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         bound = gaps & tops
         while bound and allowed:
             low = bound & -bound
-            allowed &= bound_mask[low]
+            allowed &= row_mask[low]
             bound ^= low
         touched = (touched | reach) & unplaced
         return unplaced, touched, allowed, active, gap, blocks, gaps, placed, (c, prefix)
 
-    def columns(state: _State) -> tuple[list[int], int]:
-        """The columns to try next: a list popped from the end, then a mask.
+    def columns(state: _State) -> tuple[list[int], int, int]:
+        """The columns to try next: a list popped from the end, then a mask; and the blocks mask.
 
         Columns that share a row with an active row are listed, least urgent
         first; the others stay in the mask and are tried in column order, so
         a frame holds O(active rows) candidates, not every unplaced column.
-        Both are empty if the state is pruned.
+        Both are empty if the state is pruned.  The blocks mask holds the
+        columns that give no row a block too many: a column must lie in each
+        active row at the block limit that is in a block, since it may not
+        open a gap there, and in none that is in a gap, since it may not end
+        the gap.
         """
-        unplaced, touched, allowed, active, gap = state[:5]
+        unplaced, touched, allowed, active, gap, blocks = state[:6]
         if allowed & bit_last and unplaced & bit_first:
             # Only explore prefixes placing column 1 before column n_cols
             # (distinct columns: a work row has two ones); sound because
@@ -190,7 +200,13 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             allowed ^= bit_last
             if allowed == 0:
                 prunes["symmetry"] += 1
-                return [], 0
+                return [], 0, 0
+        fits = -1
+        full_rows = blocks & active << shift
+        while full_rows:
+            low = full_rows & -full_rows
+            fits &= ~row_mask[low] if low >> shift & gap else row_mask[low]
+            full_rows ^= low
         # Most urgent: in most rows in a gap, then most active rows, then lowest.
         keys = []
         listed = allowed & touched
@@ -199,7 +215,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             listed ^= 1 << (c - 1)
             keys.append(((col_rows[c] & gap).bit_count(), (col_rows[c] & active).bit_count(), -c))
         keys.sort()
-        return [-key[2] for key in keys], allowed & ~touched
+        return [-key[2] for key in keys], allowed & ~touched, fits
 
     def hall(state: _State) -> tuple[list[tuple[int, int]], int] | None:
         """Hall's condition on the active rows' deadlines.
@@ -234,24 +250,20 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
                 must = union
         return due, must
 
-    def child_hall(state: _State, due: list, must: int, c: int, child: _State):
-        """hall(child), or None when the child breaks it, reusing the parent's check."""
-        if not finite:
-            return due, must
-        bit = 1 << c >> 1
-        if not bit & must:
-            return None
-        if not bit & state[1]:
-            # c is free: every active row loses a slot and keeps its columns,
-            # and only the rows of c start, at a static slack.  Slacks here are
-            # the child's plus one.  Finding nothing proves nothing, since the
-            # parent left out rows that the new columns may bring in.
-            union = 0
-            for s, cols in sorted(due + fresh[c]):
-                union |= cols
-                if union.bit_count() >= s:
-                    return None
-        return hall(child)
+    def late(due: list[tuple[int, int]], c: int) -> bool:
+        """Whether placing the free column c next breaks Hall's condition.
+
+        Every active row loses a slot and keeps its columns, and only the
+        rows of c start, at a static slack; slacks here are the child's plus
+        one.  False proves nothing, since the parent's due rows leave out
+        rows that the new columns may bring in.
+        """
+        union = 0
+        for s, cols in sorted(due + fresh[c]):
+            union |= cols
+            if union.bit_count() >= s:
+                return True
+        return False
 
     full = (1 << n_cols) - 1
     to_place = sum((top - len(row)) << (width * ri) for ri, row in enumerate(work_rows))
@@ -259,7 +271,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     stack = [[root, *columns(root), [], -1]]
     while stack:
         frame = stack[-1]
-        state, listed, rest, due, must = frame
+        state, listed, rest, fits, due, must = frame
         if listed:
             c = listed.pop()
         elif rest:
@@ -274,14 +286,18 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline
         ):
             return SolveOutcome(TIMED_OUT, None, SearchStats(nodes, time.monotonic() - t0, prunes))
-        child = place(state, c)
-        if child is None:
+        bit = 1 << c >> 1
+        if not bit & fits:
             prunes["blocks"] += 1
-        elif not child[0]:
+        elif finite and (not bit & must or not bit & state[1] and late(due, c)):
+            # Outside the smallest tight union, or a free column that
+            # starts rows with too little slack.
+            prunes["deadline"] += 1
+        elif not (child := place(state, c))[0]:
             break
         elif not child[2]:
             prunes["forced"] += 1
-        elif (checked := child_hall(state, due, must, c, child)) is None:
+        elif (checked := hall(child) if finite else ([], -1)) is None:
             prunes["deadline"] += 1
         else:
             stack.append([child, *columns(child), *checked])

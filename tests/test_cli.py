@@ -71,6 +71,19 @@ class TestSolve:
                           "--nodes", "1"])
         assert exhausted == 1 and undecided == 2
 
+    def test_stats_line_counts_prunes_by_rule(self, tmp_path, capsys):
+        # Three rules fire on this 7-column matrix at (3,1).
+        path = tmp_path / "m.txt"
+        path.write_text("4 7\n2 3 5 7\n1 3 4 7\n1 7\n1 3 5 6\n")
+        argv = ["solve", "--matrix", str(path), "--k", "3", "--delta", "1"]
+        assert main(argv) == 0
+        line = capsys.readouterr().err.strip()
+        assert line.startswith("status=satisfied nodes=14 ")
+        assert line.endswith(" prunes=blocks:1,forced:1,deadline:3,symmetry:0")
+        assert main([*argv, "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["prunes"] == {"blocks": 1, "forced": 1, "deadline": 3, "symmetry": 0}
+
     def test_deep_path_is_satisfied(self, tmp_path):
         # 1,200 columns is deeper than Python's recursion limit.
         path = tmp_path / "path.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -35,6 +36,23 @@ ALL_PAIRS_5 = BinaryMatrix(5, tuple(itertools.combinations(range(1, 6), 2)))
 def path_matrix(n: int) -> BinaryMatrix:
     """Rows {i, i+1}: trivially satisfiable; 1,200 columns exceed the recursion limit."""
     return BinaryMatrix(n, tuple((i, i + 1) for i in range(1, n)))
+
+
+def planted_matrix(rng: random.Random, n: int, k: int, delta: int) -> BinaryMatrix:
+    """n rows over a hidden column order, each of at most k blocks with gaps of at most delta."""
+    hidden = rng.sample(range(1, n + 1), n)
+    rows = []
+    while len(rows) < n:
+        row, p = [], rng.randrange(n)
+        for _ in range(rng.randint(1, k)):
+            length = rng.randint(1, 4)
+            row += hidden[p:p + length]
+            p += length + rng.randint(1, delta)
+            if p >= n:
+                break
+        if len(row) >= 2:
+            rows.append(row)
+    return BinaryMatrix.from_rows(n, rows)
 
 
 def nested_prefixes(count: int) -> list[list[int]]:
@@ -91,6 +109,9 @@ class TestDecide:
         assert out.stats.nodes_expanded == 1024
 
     def test_search_counts_are_pinned(self):
+        # A child that breaks both the deadline and the forced rule counts
+        # under deadline, which is checked first; forced + deadline is the
+        # same 162 and 457 as when forced was checked first.
         out = decide(refute(3), GapSpec(3, 1))
         assert out.status == EXHAUSTED
         assert out.stats.nodes_expanded == 175
@@ -98,7 +119,8 @@ class TestDecide:
         out = decide(refute(8), GapSpec(8, 1))
         assert out.status == EXHAUSTED
         assert out.stats.nodes_expanded == 485
-        assert out.stats.prunes == {"blocks": 0, "forced": 107, "symmetry": 0, "deadline": 350}
+        assert out.stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 457}
+        assert out.stats.prunes["forced"] + out.stats.prunes["deadline"] == 107 + 350
         full = decide(ALL_PAIRS_5, GapSpec(2, 1))
         assert full.status == EXHAUSTED
         assert full.stats.nodes_expanded == 4
@@ -118,7 +140,10 @@ class TestDecide:
             nodes += out.stats.nodes_expanded
         assert statuses == {SATISFIED: 262, EXHAUSTED: 36, TIMED_OUT: 2}
         assert nodes == 222_422
-        assert prunes == {"blocks": 184_057, "forced": 919, "symmetry": 23, "deadline": 1_834}
+        assert prunes == {"blocks": 184_057, "forced": 566, "symmetry": 23, "deadline": 2_187}
+        # Checking the deadline before the forced rule moves 353 children
+        # from forced to deadline and no other count.
+        assert prunes["forced"] + prunes["deadline"] == 919 + 1_834
 
     def test_deep_path_has_no_recursion_cliff(self):
         for n in (1200, 5000):
@@ -127,6 +152,33 @@ class TestDecide:
             assert out.status == SATISFIED
             assert out.stats.nodes_expanded == n
             assert check_ordering(m, out.witness, GapSpec(2, 1)).ok
+
+    def test_path_scale_at_two_and_five_thousand_columns(self):
+        # One node per column and a checked witness; no wall-clock assert.
+        for n in (2000, 5000):
+            m = path_matrix(n)
+            out = decide(m, GapSpec(2, 1))
+            assert out.status == SATISFIED
+            assert out.stats.nodes_expanded == n
+            assert check_ordering(m, out.witness, GapSpec(2, 1)).ok
+
+    def test_budgeted_search_decisions_are_pinned(self):
+        # 60 planted-satisfiable matrices under a 5,000-node budget: a digest
+        # of every status, node count and witness, so any change to the
+        # candidate order, to what the prune rules cut or to the budget
+        # cut-off shows.
+        rng = random.Random(41)
+        digest = hashlib.sha256()
+        statuses = Counter()
+        for i in range(60):
+            k, delta = ((2, 1), (3, 1), (2, 2))[i % 3]
+            m = planted_matrix(rng, rng.randint(20, 80), k, delta)
+            out = decide(m, GapSpec(k, delta), SearchConfig(node_limit=5000))
+            witness = out.witness and out.witness.forward
+            digest.update(repr((out.status, out.stats.nodes_expanded, witness)).encode())
+            statuses[out.status] += 1
+        assert statuses == {SATISFIED: 48, TIMED_OUT: 12}
+        assert digest.hexdigest() == "32ce7d271565f8d769f60d46f9cf85dc473c186afc4743d9cc28281af9bc285d"
 
     def test_determinism(self):
         rng = random.Random(33)
