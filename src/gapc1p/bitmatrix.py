@@ -206,13 +206,16 @@ def first_violating_row(
 def valid_forward_maps(matrix: BinaryMatrix, spec: GapSpec) -> Iterator[tuple[int, ...]]:
     """Yield every forward map that satisfies the spec, in lexicographic order.
 
-    A depth-first loop fills positions 1..n with the unplaced columns in
-    increasing order.  Position p must take a column of a row with ones left
-    that has k blocks and its last one at p - 1 (block rule), or its last
-    one at p - delta - 1 (gap rule), so no prefix breaks a row.  Rows that
-    no completion can break are safe: they are dropped up front, and once
-    every row is safe, each permutation of the sorted rest completes the
-    prefix as one batch.  The first ordering of every batch (a leaf is a
+    A depth-first search fills positions 1..n from one stack of frames
+    ``[prefix, state, safe, unplaced, candidates]``.  A frame's candidates
+    are None until its first visit works them out: position p must take a
+    column of each row with ones left that has k blocks and its last one at
+    p - 1 (block rule), or its last one at p - delta - 1 (gap rule), so no
+    prefix breaks a row.  Each candidate, in increasing order, pushes a
+    child; a frame with none left is popped.  Rows that no completion can
+    break are safe: they are dropped up front, and a frame whose rows are all
+    safe is popped on its first visit and yields each permutation of its
+    sorted rest as one batch.  The first ordering of every batch (a leaf is a
     batch of one) is re-checked with ``first_violating_row``; fully placed
     rows look the same in the whole batch and the rest are safe, so that
     check covers the batch.  A failed check is a RuntimeError.
@@ -241,15 +244,23 @@ def valid_forward_maps(matrix: BinaryMatrix, spec: GapSpec) -> Iterator[tuple[in
     col_rows = [[r for r, row in enumerate(rows) if c in row] for c in range(n + 1)]
     row_mask = [sum(1 << c for c in row) for row in rows]
     state = [(-1, 0, len(row)) for row in rows]  # (last placed position or -1, blocks, ones left)
-    safe = [safe_from(*s) for s in state]
     position = [0] * (n + 1)
-    prefix: tuple[int, ...] = ()
-    unplaced = (1 << (n + 1)) - 2
-    undo: list[tuple] = []  # (prefix, state, safe, unplaced) before each placed column
-    todo: list[int] = []  # todo[i]: the candidates for position i + 1 not yet tried
-    while True:
+    stack = [[(), state, [safe_from(*s) for s in state], (1 << (n + 1)) - 2, None]]
+    while stack:
+        frame = stack[-1]
+        prefix, state, safe, unplaced, cands = frame
         depth = len(prefix)
-        if max(safe, default=0) > depth:
+        if cands is None:
+            if max(safe, default=0) <= depth:
+                stack.pop()
+                rest = [c for c in range(1, n + 1) if unplaced >> c & 1]
+                for p, c in enumerate(rest, start=depth + 1):
+                    position[c] = p
+                if first_violating_row(matrix.rows, position, k_eff, d_eff) >= 0:
+                    raise RuntimeError("internal error: enumeration reached an invalid ordering")
+                for tail in itertools.permutations(rest):
+                    yield prefix + tail
+                continue
             cands = unplaced
             near = col_rows[prefix[-1]] if depth else []
             far = col_rows[prefix[depth - d_eff - 1]] if depth > d_eff else []
@@ -257,35 +268,19 @@ def valid_forward_maps(matrix: BinaryMatrix, spec: GapSpec) -> Iterator[tuple[in
                 at, b, u = state[r]
                 if u and (at == depth - d_eff or at == depth and b == k_eff):
                     cands &= row_mask[r]
-            todo.append(cands)
-        else:
-            rest = [c for c in range(1, n + 1) if unplaced >> c & 1]
-            for p, c in enumerate(rest, start=depth + 1):
-                position[c] = p
-            if first_violating_row(matrix.rows, position, k_eff, d_eff) >= 0:
-                raise RuntimeError("internal error: enumeration reached an invalid ordering")
-            for tail in itertools.permutations(rest):
-                yield prefix + tail
-        while todo:  # back up to the deepest position with a candidate left
-            if len(prefix) == len(todo):  # take back the column placed there
-                prefix, state, safe, unplaced = undo.pop()
-            if todo[-1]:
-                break
-            todo.pop()
-        else:
-            return
-        cands = todo[-1]
+        if not cands:
+            stack.pop()
+            continue
         low = cands & -cands
-        todo[-1] = cands ^ low
+        frame[4] = cands ^ low
         c = low.bit_length() - 1
-        p = len(prefix) + 1
-        undo.append((prefix, state, safe, unplaced))
-        prefix, state, safe, unplaced = prefix + (c,), state[:], safe[:], unplaced ^ low
+        state, safe = state[:], safe[:]
         for r in col_rows[c]:
             at, b, u = state[r]
-            state[r] = (p, b + (at != p - 1), u - 1)
+            state[r] = (depth + 1, b + (at != depth), u - 1)
             safe[r] = safe_from(*state[r])
-        position[c] = p
+        position[c] = depth + 1
+        stack.append([prefix + (c,), state, safe, unplaced ^ low, None])
 
 
 def check_ordering(matrix: BinaryMatrix, ordering: ColumnOrdering, spec: GapSpec) -> CheckReport:

@@ -82,11 +82,12 @@ class _Classes:
         if count != len(hit):
             return False
         if new:
-            # New columns go past an end class the row touches; if it touches
-            # both, past the one it fills (it cannot fill both: a row that
-            # overlaps a placed row does not contain their union).
-            fills_last = len(hit[run[1]]) == self.size[run[1]]
-            side = 1 if run[1] == ends[1] and (run[0] != ends[0] or fills_last) else 0
+            # New columns go past an end class the row touches, which must be
+            # full.  A row touching both ends of two or more classes is R0's
+            # (the first row's) forest child, placed after rows no smaller; a
+            # placed row holding an end it fills would lie inside it or be R0
+            # with no child placed.  So it fills neither end: both sides fail.
+            side = 0 if run[0] == ends[0] else 1
             if run[side] != ends[side]:
                 return False
             x = self.add(new, *((ends[1], -1) if side else (-1, ends[0])))

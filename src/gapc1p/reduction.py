@@ -242,12 +242,6 @@ def formula_value(cnf: Cnf, assignment: Mapping[int, bool]) -> bool:
 # Matrix generators.
 
 
-def _require_exact3(cnf: Cnf) -> None:
-    for i, clause in enumerate(cnf.clauses, start=1):
-        if len(clause) != 3:
-            raise ValueError(f"clause {i} has {len(clause)} literals; expected exactly 3")
-
-
 def _legend(n: int, d: int, blocks: Sequence[tuple[int, ...]]) -> dict[int, ColumnRole]:
     legend: dict[int, ColumnRole] = {}
     for i in range(1, n + 1):
@@ -312,6 +306,14 @@ def _literal_row(
 
 def _build(cnf: Cnf, k: int, delta: int) -> ReductionOutput:
     # delta = 1 is the block-count family (theorem 3), delta >= 2 the gapped one.
+    if delta == 1 and k < 3:
+        raise ValueError("the block-count family requires k >= 3; (2,1) is the "
+                         "paper's open case and has no hardness family")
+    if k < 2:
+        raise ValueError("the gapped family requires k >= 2")
+    for i, clause in enumerate(cnf.clauses, start=1):
+        if len(clause) != 3:
+            raise ValueError(f"clause {i} has {len(clause)} literals; expected exactly 3")
     theorem, width, tail_start = (3, 4, 2 * k - 5) if delta == 1 else (2, 5, 2 * k - 3)
     d = max(2 * k, 2 * delta + 3)
     n, m = cnf.num_vars, len(cnf.clauses)
@@ -336,10 +338,6 @@ def _build(cnf: Cnf, k: int, delta: int) -> ReductionOutput:
 
 def reduce_theorem3(cnf3: Cnf, k: int) -> ReductionOutput:
     """Instance family for the block-count bound with unit gaps (k >= 3, delta = 1)."""
-    if k < 3:
-        raise ValueError("the block-count family requires k >= 3; (2,1) is the "
-                         "paper's open case and has no hardness family")
-    _require_exact3(cnf3)
     return _build(cnf3, k, 1)
 
 
@@ -350,12 +348,9 @@ def reduce_theorem2(cnf3: Cnf, k: int, delta: int) -> ReductionOutput:
     the rigidity gadget's hypothesis holds (REPAIRS.md R7); the block-count
     family uses the same width, which is max{2k, 5} at delta = 1.
     """
-    if k < 2:
-        raise ValueError("the gapped family requires k >= 2")
     if delta < 2:
         raise ValueError("the gapped family requires delta >= 2; use the k >= 3 "
                          "family for delta = 1")
-    _require_exact3(cnf3)
     return _build(cnf3, k, delta)
 
 
@@ -369,10 +364,7 @@ def reduce_formula(cnf: Cnf, spec: GapSpec) -> ReductionOutput:
         raise ValueError(f"{spec} is the classical C1P, polynomial, no hardness family")
     if spec.k is None or spec.delta is None:
         raise ValueError(f"the hardness families need a finite k and delta, got {spec}")
-    cnf3 = to_exact3(cnf)
-    if spec.delta == 1:
-        return reduce_theorem3(cnf3, spec.k)
-    return reduce_theorem2(cnf3, spec.k, spec.delta)
+    return _build(to_exact3(cnf), spec.k, spec.delta)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from gapc1p.verifysuite import SUITES, run_suite
 
 TRIPLE_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 CHAIN_TEXT = "2 3\n1 2\n2 3\n"
-# Every pair of 5 columns: exhausted at (2,1) after 17 search nodes.
+# Every pair of 5 columns: exhausted at (2,1) after 4 search nodes.
 ALL_PAIRS_TEXT = "10 5\n" + "".join(
     f"{a} {b}\n" for a, b in itertools.combinations(range(1, 6), 2)
 )

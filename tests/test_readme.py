@@ -1,4 +1,4 @@
-"""README.md's examples are current: python blocks run and CLI lines parse."""
+"""README.md's examples are current, and CI runs the documented tier-1 command."""
 
 import re
 import shlex
@@ -6,7 +6,8 @@ from pathlib import Path
 
 from gapc1p.cli import build_parser
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_python_blocks_run():
@@ -25,3 +26,13 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_ci_workflow_runs_the_tier1_command():
+    # Read as text: CI installs only pytest and hypothesis, so no YAML parser.
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text())
+    assert command, "ROADMAP.md names no tier-1 command"
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    runs = [line.strip() for line in workflow.splitlines() if line.strip().startswith("run: ")]
+    assert f"run: {command.group(1)}" in runs
+    assert "run: python3 perfbench/selfcheck.py" in runs
