@@ -25,6 +25,13 @@ column does not start rows with too little slack.  The child is then built,
 and the forced rule (no column may come next) and Hall's condition on the
 child come last.
 
+Ties between candidates follow one static rank, not the labels: the columns
+in breadth-first (Cuthill-McKee) order, each component from a far column, so
+a layout starts at an end rather than in its interior.  The reversal-symmetry
+pair stays on the caller's columns 1 and n.  A candidate's fate depends only
+on its parent, and an exhausted search judges every candidate of every frame
+it opens, so its nodes and prunes do not depend on the rank.
+
 ``brute_force`` is the ground-truth oracle for small universes: an
 exhaustive enumeration that cuts dead prefixes, with exact counts and
 lexicographic witnesses.  ``classic_c1p`` is the special case with one block
@@ -34,6 +41,7 @@ and no gaps, decided in polynomial time by overlap-component refinement;
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -119,6 +127,11 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             SearchStats(0, time.monotonic() - t0, prunes),
         )
 
+    # Search columns relabelled by breadth-first rank, so every tie is broken
+    # in that order; the witness is mapped back at the end.
+    order = breadth_first_order(n_cols, work_rows)
+    rank = {c: at for at, c in enumerate(order, 1)}
+    work_rows = [tuple(map(rank.__getitem__, row)) for row in work_rows]
     longest = max(len(row) for row in work_rows)
     # An active row has fewer blocks than ones, so a bound above the longest
     # row never binds; clamping keeps the block offset positive.
@@ -152,8 +165,9 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     # Row masks keyed by the top bit of the row's field.
     row_mask = {1 << (width * ri + shift): mask for ri, mask in enumerate(masks)}
 
-    bit_first = 1
-    bit_last = 1 << (n_cols - 1)
+    # The reversal-symmetry pair stays on the caller's columns 1 and n_cols.
+    bit_first = 1 << (rank[1] - 1)
+    bit_last = 1 << (rank[n_cols] - 1)
     deadline = None if cfg.timeout_seconds is None else t0 + cfg.timeout_seconds
     node_limit = cfg.node_limit
     nodes = 0
@@ -184,7 +198,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         """The columns to try next: a list popped from the end, then a mask; and the blocks mask.
 
         Columns that share a row with an active row are listed, least urgent
-        first; the others stay in the mask and are tried in column order, so
+        first; the others stay in the mask and are tried in rank order, so
         a frame holds O(active rows) candidates, not every unplaced column.
         Both are empty if the state is pruned.  The blocks mask holds the
         columns that give no row a block too many: a column must lie in each
@@ -207,7 +221,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             low = full_rows & -full_rows
             fits &= ~row_mask[low] if low >> shift & gap else row_mask[low]
             full_rows ^= low
-        # Most urgent: in most rows in a gap, then most active rows, then lowest.
+        # Most urgent: in most rows in a gap, then most active rows, then lowest rank.
         keys = []
         listed = allowed & touched
         while listed:
@@ -309,10 +323,49 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     while prefix:
         c, prefix = prefix
         placed.append(c)
-    witness = ColumnOrdering(tuple(reversed(placed)))
+    witness = ColumnOrdering(tuple(order[c - 1] for c in reversed(placed)))
     if not check_ordering(matrix, witness, spec).ok:
         raise RuntimeError("internal error: search produced an invalid witness")
     return SolveOutcome(SATISFIED, witness, stats)
+
+
+def breadth_first_order(n_cols: int, rows: list[tuple[int, ...]]) -> list[int]:
+    """Columns 1..n_cols in Cuthill-McKee order over the rows' incidence.
+
+    Each component starts at a far column: two sweeps, from its lowest column
+    and then from the last one reached.  A sweep appends each column's newly
+    reached columns by row count, then label, and visits each row once: O(ones).
+    """
+    col_rows: list[list[int]] = [[] for _ in range(n_cols + 1)]
+    for ri, row in enumerate(rows):
+        for c in row:
+            col_rows[c].append(ri)
+    key = [len(held) * (n_cols + 1) + c for c, held in enumerate(col_rows)].__getitem__
+    # Each sweep marks what it reached with its own stamp.
+    seen, used, stamps = [0] * (n_cols + 1), [0] * len(rows), itertools.count(1)
+
+    def sweep(start: int) -> list[int]:
+        stamp = next(stamps)
+        seen[start] = stamp
+        reached = [start]
+        for c in reached:  # the list grows as the sweep goes
+            new = []
+            for ri in col_rows[c]:
+                if used[ri] != stamp:
+                    used[ri] = stamp
+                    for u in rows[ri]:
+                        if seen[u] != stamp:
+                            seen[u] = stamp
+                            new.append(u)
+            new.sort(key=key)
+            reached += new
+        return reached
+
+    order: list[int] = []
+    for c in range(1, n_cols + 1):
+        if not seen[c]:
+            order += sweep(sweep(sweep(c)[-1])[-1])
+    return order
 
 
 def brute_force(matrix: BinaryMatrix, spec: GapSpec) -> ExhaustiveReport:

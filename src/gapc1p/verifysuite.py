@@ -15,10 +15,11 @@ from typing import Callable
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering
 from .gadget import build_gadget, gadget_row_count, verify_rigidity
-from .reduction import Cnf, verify_reduction
-from .solver import SATISFIED, brute_force, classic_c1p, decide
+from .reduction import Cnf, reduce_formula, satisfying_assignments, verify_reduction
+from .solver import EXHAUSTED, SATISFIED, brute_force, classic_c1p, decide
 
 CORPUS_SEED = 212121
+FORMULA_SEED = 2009
 
 PASS = "pass"
 FAIL = "fail"
@@ -183,6 +184,31 @@ def theorem3_equivalence() -> str:
     )
 
 
+def theorem3_random_known_answers() -> str:
+    # 20-104 columns, above the enumeration cap: the answer comes from the
+    # SAT oracle, which shares no code with the search.
+    rng = random.Random(FORMULA_SEED)
+    spec = GapSpec(3, 1)
+    unsatisfiable = most = 0
+    for _ in range(50):
+        n = rng.randint(3, 5)
+        cnf = Cnf(n, tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+            for _ in range(rng.randint(2, 4 * n + 2))
+        ))
+        matrix = reduce_formula(cnf, spec).matrix
+        satisfiable = next(satisfying_assignments(cnf), None) is not None
+        expected = SATISFIED if satisfiable else EXHAUSTED
+        outcome = decide(matrix, spec)
+        assert outcome.status == expected, f"{cnf}: {outcome.status}, the SAT oracle says {expected}"
+        if satisfiable:
+            assert check_ordering(matrix, outcome.witness, spec).ok, f"unsound witness on {cnf}"
+        unsatisfiable += not satisfiable
+        most = max(most, outcome.stats.nodes_expanded)
+    assert unsatisfiable == 3, f"{unsatisfiable} of 50 formulas unsatisfiable, expected 3"
+    return f"50 random 3-CNF formulas (3 unsatisfiable) agree with the SAT oracle; at most {most} nodes"
+
+
 def theorem2_satisfiable() -> str:
     rep = verify_reduction(Cnf(1, ((1, 1, 1),)), GapSpec(2, 2))
     assert rep.agree and rep.formula_satisfiable, f"{rep}"
@@ -211,6 +237,8 @@ CASES: tuple[tuple[str, str, str, float, Callable[[], str]], ...] = (
      classic_agreement),
     ("C9", "solver", "(k,0) collapse and reversal invariance", 30.0, collapse_and_reversal),
     ("C6", "reduction", "block-count reduction iff at k=3", 600.0, theorem3_equivalence),
+    ("C10", "reduction", "block-count reduction on seeded random 3-CNF, known answers", 60.0,
+     theorem3_random_known_answers),
     ("C7", "reduction", "gapped reduction at k=delta=2, satisfiable side", 600.0,
      theorem2_satisfiable),
     ("C7S", "reduction", "gapped reduction, unsatisfiable companion (stretch)", 3600.0,

@@ -92,4 +92,4 @@ def test_reduction_suite_runs_from_an_installed_copy(tmp_path):
         timeout=120,
     )
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "3 cases: 3 passed, 0 failed" in run.stdout
+    assert "4 cases: 4 passed, 0 failed" in run.stdout

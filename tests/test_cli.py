@@ -72,17 +72,17 @@ class TestSolve:
         assert exhausted == 1 and undecided == 2
 
     def test_stats_line_counts_prunes_by_rule(self, tmp_path, capsys):
-        # Three rules fire on this 7-column matrix at (3,1).
+        # Every rule fires on this 8-column matrix at (3,1).
         path = tmp_path / "m.txt"
-        path.write_text("4 7\n2 3 5 7\n1 3 4 7\n1 7\n1 3 5 6\n")
+        path.write_text("5 8\n1 5 6 7\n3 7 8\n1 5 8\n4 6 8\n2 4 8\n")
         argv = ["solve", "--matrix", str(path), "--k", "3", "--delta", "1"]
         assert main(argv) == 0
         line = capsys.readouterr().err.strip()
-        assert line.startswith("status=satisfied nodes=14 ")
-        assert line.endswith(" prunes=blocks:1,forced:1,deadline:3,symmetry:0")
+        assert line.startswith("status=satisfied nodes=17 ")
+        assert line.endswith(" prunes=blocks:1,forced:1,deadline:1,symmetry:2")
         assert main([*argv, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)["stats"]
-        assert stats["prunes"] == {"blocks": 1, "forced": 1, "deadline": 3, "symmetry": 0}
+        assert stats["prunes"] == {"blocks": 1, "forced": 1, "deadline": 1, "symmetry": 2}
 
     def test_deep_path_is_satisfied(self, tmp_path):
         # 1,200 columns is deeper than Python's recursion limit.
@@ -312,16 +312,16 @@ class TestVerify:
         assert main(["verify", "--suite", "reduction", "--no-stretch"]) == 3
         assert main(["verify", "--suite", "reduction", "--json"]) == 0
         cases = json.loads(capsys.readouterr().out)["cases"]
-        assert [c["id"] for c in cases] == ["C6", "C7", "C7S"]
-        assert cases[2]["status"] == "pass" and "18 nodes" in cases[2]["detail"]
+        assert [c["id"] for c in cases] == ["C6", "C10", "C7", "C7S"]
+        assert cases[3]["status"] == "pass" and "18 nodes" in cases[3]["detail"]
 
     def test_suites_run_the_case_table_in_order(self):
         ids = {suite: [r.case_id for r in run_suite(suite)] for suite in SUITES}
         assert ids == {
-            "all": ["C1", "C2", "C3", "C4", "C5", "C9", "C6", "C7", "C7S"],
+            "all": ["C1", "C2", "C3", "C4", "C5", "C9", "C6", "C10", "C7", "C7S"],
             "gadget": ["C1", "C2", "C3"],
             "solver": ["C4", "C5", "C9"],
-            "reduction": ["C6", "C7", "C7S"],
+            "reduction": ["C6", "C10", "C7", "C7S"],
         }
         with pytest.raises(ValueError, match="unknown suite 'bogus'"):
             run_suite("bogus")

@@ -394,26 +394,6 @@ class TestEquivalence:
         assert lost == R9_LOST
         assert ((1, 1, 1), (1, -1, -1)) in lost
 
-    def test_theorem3_known_answers_on_random_3cnf(self):
-        # 20-104 columns, above the enumeration cap: the answer comes from the
-        # SAT oracle, not from brute_force.
-        rng = random.Random(2009)
-        unsatisfiable = 0
-        for _ in range(50):
-            n = rng.randint(3, 5)
-            f = Cnf(n, tuple(
-                tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
-                for _ in range(rng.randint(2, 4 * n + 2))
-            ))
-            m = reduce_theorem3(f, 3).matrix
-            satisfiable = next(satisfying_assignments(f), None) is not None
-            outcome = decide(m, GapSpec(3, 1))
-            assert outcome.status == (SATISFIED if satisfiable else EXHAUSTED), f
-            if satisfiable:
-                assert check_ordering(m, outcome.witness, GapSpec(3, 1)).ok, f
-            unsatisfiable += not satisfiable
-        assert unsatisfiable == 3
-
 
 class TestFormulaValue:
     def test_value_matches_oracle(self):

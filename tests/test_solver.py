@@ -25,7 +25,7 @@ from gapc1p import (
 )
 from gapc1p.bitmatrix import valid_forward_maps
 from gapc1p.pqtree import consecutive_ordering
-from gapc1p.solver import WITNESS_CAP
+from gapc1p.solver import WITNESS_CAP, breadth_first_order
 from test_bitmatrix import random_matrix
 
 TRIPLE = BinaryMatrix(3, ((1, 2), (2, 3), (1, 3)))
@@ -124,6 +124,36 @@ class TestDecide:
         full = decide(ALL_PAIRS_5, GapSpec(2, 1))
         assert full.status == EXHAUSTED
         assert full.stats.nodes_expanded == 4
+        # An exhausted search judges every candidate of every frame it opens,
+        # so its counts do not depend on the order the candidates are tried.
+        for k, nodes in zip(range(3, 9), (175, 250, 365, 405, 445, 485)):
+            out = decide(refute(k), GapSpec(k, 1))
+            assert (out.status, out.stats.nodes_expanded) == (EXHAUSTED, nodes)
+        companion = reduce_theorem2(Cnf(1, ((1, 1, 1), (-1, -1, -1))), 2, 3).matrix
+        out = decide(companion, GapSpec(2, 3))
+        assert (out.status, out.stats.nodes_expanded) == (EXHAUSTED, 1310)
+        assert out.stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 1236}
+
+    def test_witness_is_in_the_callers_labels(self):
+        # Isolated columns (1, 4, 6), an empty row, one-one rows, a duplicate
+        # row and three components, and the smallest searched matrix.
+        rows = [[], [6], [3, 9], [9, 5], [5, 9], [5, 11], [2, 7, 10], [7, 12], [10, 12],
+                [8], [8, 13], [13, 14]]
+        cases = [BinaryMatrix.from_rows(14, rows), BinaryMatrix.from_rows(2, [[1, 2]]),
+                 BinaryMatrix.from_rows(2, [[2, 1], [1, 2], [], [2]])]
+        for m in cases:
+            for spec in (GapSpec(2, 1), GapSpec(3, 1), GapSpec(2, 2), GapSpec(2, None)):
+                out = decide(m, spec)
+                assert out.status == SATISFIED
+                assert check_ordering(m, out.witness, spec).ok
+
+    def test_breadth_first_order_starts_components_at_an_end(self):
+        # A path hidden under shuffled labels comes out end to end; an
+        # isolated column is a component of its own.
+        hidden = random.Random(38).sample(range(1, 41), 40)
+        rows = [tuple(hidden[i:i + 2]) for i in range(39)]
+        assert breadth_first_order(41, rows) in (hidden + [41], hidden[::-1] + [41])
+        assert breadth_first_order(3, []) == [1, 2, 3]
 
     def test_search_counts_are_pinned_on_a_seeded_corpus(self):
         # Exhausted, satisfied and node-budget cases; (20,1) bounds blocks
@@ -139,11 +169,11 @@ class TestDecide:
             prunes.update(out.stats.prunes)
             nodes += out.stats.nodes_expanded
         assert statuses == {SATISFIED: 262, EXHAUSTED: 36, TIMED_OUT: 2}
-        assert nodes == 222_422
-        assert prunes == {"blocks": 184_057, "forced": 566, "symmetry": 23, "deadline": 2_187}
-        # Checking the deadline before the forced rule moves 353 children
+        assert nodes == 233_146
+        assert prunes == {"blocks": 192_684, "forced": 535, "symmetry": 38, "deadline": 2_108}
+        # Checking the deadline before the forced rule moves 350 children
         # from forced to deadline and no other count.
-        assert prunes["forced"] + prunes["deadline"] == 919 + 1_834
+        assert prunes["forced"] + prunes["deadline"] == 885 + 1_758
 
     def test_deep_path_has_no_recursion_cliff(self):
         for n in (1200, 5000):
@@ -177,8 +207,8 @@ class TestDecide:
             witness = out.witness and out.witness.forward
             digest.update(repr((out.status, out.stats.nodes_expanded, witness)).encode())
             statuses[out.status] += 1
-        assert statuses == {SATISFIED: 48, TIMED_OUT: 12}
-        assert digest.hexdigest() == "32ce7d271565f8d769f60d46f9cf85dc473c186afc4743d9cc28281af9bc285d"
+        assert statuses == {SATISFIED: 53, TIMED_OUT: 7}
+        assert digest.hexdigest() == "48b8ee2ce7185c89f84f1e6041d3489f8f1172eee3286b5e5df23102650f0ead"
 
     def test_determinism(self):
         rng = random.Random(33)
@@ -458,3 +488,22 @@ def test_decide_agrees_with_brute_force(m, spec):
     assert (out.status == SATISFIED) == (brute_force(m, spec).valid_count > 0)
     if out.status == SATISFIED:
         assert check_ordering(m, out.witness, spec).ok
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(crowded_matrices(), st.sampled_from(GAPPED_SPECS), st.randoms(use_true_random=False))
+def test_exhausted_search_does_not_depend_on_column_labels(m, spec, rng):
+    # Relabel every column but 1 and n, which carry the reversal-symmetry
+    # pair: an exhausted search opens the same frames, so its counts match.
+    n = m.num_columns
+    label = list(range(n + 1))
+    middle = label[2:n]
+    rng.shuffle(middle)
+    label[2:n] = middle
+    relabelled = BinaryMatrix.from_rows(n, [[label[c] for c in row] for row in m.rows])
+    config = SearchConfig(node_limit=20_000)
+    a, b = decide(m, spec, config), decide(relabelled, spec, config)
+    if EXHAUSTED in (a.status, b.status):
+        assert a.status == b.status
+        assert a.stats.nodes_expanded == b.stats.nodes_expanded
+        assert a.stats.prunes == b.stats.prunes
