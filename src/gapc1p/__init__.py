@@ -14,12 +14,10 @@ from .bitmatrix import (
     ColumnOrdering,
     GapSpec,
     MatrixFormatError,
-    RowProfile,
     Violation,
     check_ordering,
     parse_matrix,
     parse_ordering,
-    profile_row,
     serialize_matrix,
     serialize_ordering,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "ReductionOutput",
     "ReductionParams",
     "RigidityReport",
-    "RowProfile",
     "SATISFIED",
     "SearchConfig",
     "SearchStats",
@@ -90,7 +87,6 @@ __all__ = [
     "parse_dimacs",
     "parse_matrix",
     "parse_ordering",
-    "profile_row",
     "reduce_formula",
     "reduce_theorem2",
     "reduce_theorem3",

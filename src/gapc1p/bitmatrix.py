@@ -1,4 +1,4 @@
-"""Binary matrices, column orderings, and block/gap row profiles.
+"""Binary matrices, column orderings, and the block/gap row check.
 
 Columns are numbered 1..num_columns throughout.  A row is stored as a
 strictly increasing tuple of the column indices that carry a 1 entry
@@ -114,6 +114,11 @@ class GapSpec:
         if self.delta is not None and self.delta < 0:
             raise ValueError("finite delta must be >= 0")
 
+    @property
+    def classical(self) -> bool:
+        """Whether the spec allows no gap (``k == 1`` or ``delta == 0``): the classical C1P."""
+        return self.k == 1 or self.delta == 0
+
     def block_limit(self, num_columns: int) -> int:
         """Effective block bound: a row never has more blocks than columns."""
         return self.k if self.k is not None else num_columns
@@ -128,15 +133,10 @@ class GapSpec:
 
 
 @dataclass(frozen=True)
-class RowProfile:
-    block_count: int
-    gaps: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Violation:
     row_index: int  # 1-based
-    profile: RowProfile
+    block_count: int
+    gaps: tuple[int, ...]  # every gap of the row, left to right
     kind: str  # TOO_MANY_BLOCKS or GAP_TOO_LARGE
 
 
@@ -144,31 +144,6 @@ class Violation:
 class CheckReport:
     ok: bool
     first_violation: Violation | None = None
-
-
-def profile_row(row: Sequence[int], ordering: ColumnOrdering) -> RowProfile:
-    """Block count and gap sizes of one row under an ordering.
-
-    Positions are ``ordering.inverse[c-1]`` for each column c of the row;
-    leading and trailing zero runs do not count as gaps.
-    """
-    n = ordering.num_columns
-    inverse = ordering.inverse
-    positions = []
-    for c in row:
-        if not 1 <= c <= n:
-            raise ValueError(f"column {c} outside universe 1..{n}")
-        positions.append(inverse[c - 1])
-    positions.sort()
-    if not positions:
-        return RowProfile(0, ())
-    blocks = 1
-    gaps = []
-    for prev, cur in zip(positions, positions[1:]):
-        if cur > prev + 1:
-            blocks += 1
-            gaps.append(cur - prev - 1)
-    return RowProfile(blocks, tuple(gaps))
 
 
 def first_violating_row(
@@ -286,8 +261,8 @@ def valid_forward_maps(matrix: BinaryMatrix, spec: GapSpec) -> Iterator[tuple[in
 def check_ordering(matrix: BinaryMatrix, ordering: ColumnOrdering, spec: GapSpec) -> CheckReport:
     """Check every row against the spec; report the lowest-index violation.
 
-    If a row breaks both bounds, the block-count violation is the one
-    reported.
+    The violation carries the row's block count and all of its gaps.  If a
+    row breaks both bounds, the block-count violation is the one reported.
     """
     n = matrix.num_columns
     if ordering.num_columns != n:
@@ -296,12 +271,15 @@ def check_ordering(matrix: BinaryMatrix, ordering: ColumnOrdering, spec: GapSpec
             f"matrix with {n}"
         )
     k_eff = spec.block_limit(n)
-    i = first_violating_row(matrix.rows, (0,) + ordering.inverse, k_eff, spec.gap_limit(n))
+    position = (0,) + ordering.inverse
+    i = first_violating_row(matrix.rows, position, k_eff, spec.gap_limit(n))
     if i < 0:
         return CheckReport(True, None)
-    profile = profile_row(matrix.rows[i], ordering)
-    kind = TOO_MANY_BLOCKS if profile.block_count > k_eff else GAP_TOO_LARGE
-    return CheckReport(False, Violation(i + 1, profile, kind))
+    ps = sorted(position[c] for c in matrix.rows[i])
+    gaps = tuple(b - a - 1 for a, b in zip(ps, ps[1:]) if b > a + 1)
+    blocks = len(gaps) + 1  # a violating row is not empty
+    kind = TOO_MANY_BLOCKS if blocks > k_eff else GAP_TOO_LARGE
+    return CheckReport(False, Violation(i + 1, blocks, gaps, kind))
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,8 @@ def _cmd_check(args) -> int:
             violation = {
                 "row": v.row_index,
                 "kind": v.kind,
-                "block_count": v.profile.block_count,
-                "gaps": list(v.profile.gaps),
+                "block_count": v.block_count,
+                "gaps": list(v.gaps),
             }
         print(json.dumps({"ok": report.ok, "violation": violation}))
     elif report.ok:
@@ -147,7 +147,7 @@ def _cmd_check(args) -> int:
     else:
         v = report.first_violation
         print(f"violation row={v.row_index} kind={v.kind} "
-              f"blocks={v.profile.block_count} gaps={list(v.profile.gaps)}")
+              f"blocks={v.block_count} gaps={list(v.gaps)}")
     return EXIT_HOLDS if report.ok else EXIT_FAILS
 
 
@@ -170,8 +170,7 @@ def _cmd_solve(args) -> int:
     else:
         if outcome.witness is not None:
             sys.stdout.write(serialize_ordering(outcome.witness))
-        prunes = ",".join(f"{rule}:{outcome.stats.prunes.get(rule, 0)}"
-                          for rule in ("blocks", "forced", "deadline", "symmetry"))
+        prunes = ",".join(f"{rule}:{n}" for rule, n in outcome.stats.prunes.items())
         print(
             f"status={outcome.status} nodes={outcome.stats.nodes_expanded} "
             f"elapsed={outcome.stats.elapsed_seconds:.2f}s prunes={prunes}",

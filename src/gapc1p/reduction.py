@@ -360,7 +360,7 @@ def reduce_formula(cnf: Cnf, spec: GapSpec) -> ReductionOutput:
     delta = 1 picks the block-count family (k >= 3) and delta >= 2 the
     gapped family (k >= 2); (2,1) and the classical specs have none.
     """
-    if spec.k == 1 or spec.delta == 0:
+    if spec.classical:
         raise ValueError(f"{spec} is the classical C1P, polynomial, no hardness family")
     if spec.k is None or spec.delta is None:
         raise ValueError(f"the hardness families need a finite k and delta, got {spec}")

@@ -1,10 +1,10 @@
 """Exact decision procedures for gapped consecutive-ones orderings.
 
 ``decide`` is a complete search that places columns left to right.  A
-search state is the unplaced-column mask, the placed prefix, and the rows'
-block count, open gap length and placed ones, each packed as one W-bit
-field per row into one integer, with offsets that set a field's top bit at
-its limit; placing a column is then a fixed number of integer operations.
+search state is the unplaced-column mask and the rows' block count, open
+gap length and placed ones, each packed as one W-bit field per row into one
+integer, with offsets that set a field's top bit at its limit; placing a
+column is then a fixed number of integer operations.
 Placing a column is refused exactly when some row would need one block
 more than allowed.  The gap bound is enforced by forcing: a row whose gap
 has reached the bound must receive one of its own columns next.  With a
@@ -55,19 +55,23 @@ TIMED_OUT = "timed_out"
 # How many valid orderings brute_force keeps as witnesses.
 WITNESS_CAP = 8
 
+# The rules a search candidate can be pruned by, in the order reports list them.
+PRUNE_RULES = ("blocks", "forced", "deadline", "symmetry")
+
 # A search state: the unplaced-column mask; `touched`, the unplaced columns
 # sharing a row with an active row; `allowed`, the candidates the forced rule
-# leaves; five packed row integers; and the placed prefix as a linked list
-# (last column, rest), None when empty.  Row r owns the W-bit field at bit
-# W*r of each packed integer.  `active` (ones on both sides of the prefix
-# boundary) and `gap` (active, in a gap) are low-bit flags.  The counters
-# `blocks`, `gaps` (open gap length) and `placed` (placed ones) start at
-# top - k_eff, top - d_eff and top - len(row), top = 1 << (W-1), so a top bit
-# is set exactly at the limit.  No field carries into its neighbour: the
-# blocks prune, the forced rule and placing each column once stop them there,
-# and gaps are not counted when delta is unbounded.  W also holds a row's
-# slack, at most longest * (d_eff + 1), below the top bit.
-_State = tuple[int, int, int, int, int, int, int, int, tuple | None]
+# leaves; and five packed row integers.  The placed columns are read from the
+# search stack, each of whose frames records the column that made it.  Row r
+# owns the W-bit field at bit W*r of each packed integer.  `active` (ones on
+# both sides of the prefix boundary) and `gap` (active, in a gap) are low-bit
+# flags.  The counters `blocks`, `gaps` (open gap length) and `placed` (placed
+# ones) start at top - k_eff, top - d_eff and top - len(row),
+# top = 1 << (W-1), so a top bit is set exactly at the limit.  No field
+# carries into its neighbour: the blocks prune, the forced rule and placing
+# each column once stop them there, and gaps are not counted when delta is
+# unbounded.  W also holds a row's slack, at most longest * (d_eff + 1),
+# below the top bit.
+_State = tuple[int, int, int, int, int, int, int, int]
 
 
 @dataclass
@@ -101,21 +105,21 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
 
     Returns SATISFIED with a witness, EXHAUSTED when the complete search
     proves none exists, or TIMED_OUT when a configured limit was hit.
-    A spec with ``k == 1`` or ``delta == 0`` allows no gap at all, so it is
-    the classical property and goes to ``classic_c1p`` with no search and
-    no limits.
+    A classical spec allows no gap at all, so it goes to ``classic_c1p``
+    with no search and no limits.  ``stats.prunes`` counts every rule of
+    ``PRUNE_RULES``, in that order, on every path.
     """
     t0 = time.monotonic()
-    if spec.k == 1 or spec.delta == 0:
+    prunes = dict.fromkeys(PRUNE_RULES, 0)
+    if spec.classical:
         ordering = classic_c1p(matrix)
         return SolveOutcome(
             SATISFIED if ordering else EXHAUSTED,
             ordering,
-            SearchStats(0, time.monotonic() - t0, {}),
+            SearchStats(0, time.monotonic() - t0, prunes),
         )
     cfg = config or SearchConfig()
     n_cols = matrix.num_columns
-    prunes = {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 0}
 
     # Rows with fewer than two ones never constrain an ordering; duplicates
     # add no information to the decision.
@@ -174,7 +178,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
 
     def place(state: _State, c: int) -> _State:
         """The state after placing column c next; c must fit the parent's blocks mask."""
-        unplaced, touched, _, active, gap, blocks, gaps, placed, prefix = state
+        unplaced, touched, _, active, gap, blocks, gaps, placed = state
         bit, rows, reach, keep, base = col_ops[c]
         unplaced ^= bit
         blocks += rows & ~(active ^ gap)
@@ -192,7 +196,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             allowed &= row_mask[low]
             bound ^= low
         touched = (touched | reach) & unplaced
-        return unplaced, touched, allowed, active, gap, blocks, gaps, placed, (c, prefix)
+        return unplaced, touched, allowed, active, gap, blocks, gaps, placed
 
     def columns(state: _State) -> tuple[list[int], int, int]:
         """The columns to try next: a list popped from the end, then a mask; and the blocks mask.
@@ -240,7 +244,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         and the smallest tight union: a child placing a column outside it is
         dead, since those rows each lose a slot and keep all their columns.
         """
-        unplaced, touched, _, active, _, blocks, gaps, placed, _ = state
+        unplaced, touched, _, active, _, blocks, gaps, placed = state
         rem = tops - placed
         left = tops - blocks
         # At most min(left, rem) more gaps of at most delta each; `pick`
@@ -281,11 +285,12 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
 
     full = (1 << n_cols) - 1
     to_place = sum((top - len(row)) << (width * ri) for ri, row in enumerate(work_rows))
-    root: _State = (full, 0, full, 0, 0, lows * (top - k_eff), no_gap, to_place, None)
-    stack = [[root, *columns(root), [], -1]]
+    root: _State = (full, 0, full, 0, 0, lows * (top - k_eff), no_gap, to_place)
+    # Each frame ends with the column that made it (0 at the root).
+    stack = [[root, *columns(root), [], -1, 0]]
     while stack:
         frame = stack[-1]
-        state, listed, rest, fits, due, must = frame
+        state, listed, rest, fits, due, must, _ = frame
         if listed:
             c = listed.pop()
         elif rest:
@@ -314,16 +319,13 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         elif (checked := hall(child) if finite else ([], -1)) is None:
             prunes["deadline"] += 1
         else:
-            stack.append([child, *columns(child), *checked])
+            stack.append([child, *columns(child), *checked, c])
     else:
         return SolveOutcome(EXHAUSTED, None, SearchStats(nodes, time.monotonic() - t0, prunes))
     stats = SearchStats(nodes, time.monotonic() - t0, prunes)
-    placed = []
-    prefix = child[-1]
-    while prefix:
-        c, prefix = prefix
-        placed.append(c)
-    witness = ColumnOrdering(tuple(order[c - 1] for c in reversed(placed)))
+    # The frames above the root hold the placed prefix; c completes it.
+    placed = [f[6] for f in stack[1:]] + [c]
+    witness = ColumnOrdering(tuple(order[p - 1] for p in placed))
     if not check_ordering(matrix, witness, spec).ok:
         raise RuntimeError("internal error: search produced an invalid witness")
     return SolveOutcome(SATISFIED, witness, stats)

@@ -177,7 +177,7 @@ def theorem3_equivalence() -> str:
     assert rep.agree and rep.formula_satisfiable, f"sat side: {rep}"
     rep2 = verify_reduction(unsat, GapSpec(3, 1))
     assert rep2.agree and not rep2.formula_satisfiable, f"unsat side: {rep2}"
-    assert rep2.outcome.status == "exhausted"
+    assert rep2.outcome.status == EXHAUSTED
     return (
         "12-column instance satisfiable with validated witness; "
         f"16-column instance exhausted in {rep2.outcome.stats.nodes_expanded} nodes"
@@ -218,7 +218,7 @@ def theorem2_satisfiable() -> str:
 def theorem2_stretch() -> str:
     rep = verify_reduction(Cnf(1, ((1, 1, 1), (-1, -1, -1))), GapSpec(2, 2))
     assert rep.agree and not rep.formula_satisfiable, f"{rep}"
-    assert rep.outcome.status == "exhausted"
+    assert rep.outcome.status == EXHAUSTED
     stats = rep.outcome.stats
     assert stats.nodes_expanded == 18, stats
     assert stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 18}, stats

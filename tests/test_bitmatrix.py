@@ -16,7 +16,6 @@ from gapc1p import (
     check_ordering,
     parse_matrix,
     parse_ordering,
-    profile_row,
     serialize_matrix,
     serialize_ordering,
 )
@@ -103,33 +102,34 @@ class TestParsing:
 
 
 class TestProfile:
+    """The block count and gaps that ``check_ordering`` reports for a violating row."""
+
+    @staticmethod
+    def profile(row, ordering):
+        m = BinaryMatrix(ordering.num_columns, (tuple(row),))
+        return check_ordering(m, ordering, GapSpec(1, 0)).first_violation
+
     def test_spread_row_identity(self):
-        p = profile_row((1, 5, 8), ColumnOrdering.identity(8))
-        assert p.block_count == 3
-        assert p.gaps == (3, 2)
+        v = self.profile((1, 5, 8), ColumnOrdering.identity(8))
+        assert v.block_count == 3
+        assert v.gaps == (3, 2)
 
     def test_all_ones_single_block(self):
         rng = random.Random(1)
         for n in (1, 4, 7):
-            p = profile_row(tuple(range(1, n + 1)), random_ordering(rng, n))
-            assert p.block_count == 1
-            assert p.gaps == ()
+            assert self.profile(tuple(range(1, n + 1)), random_ordering(rng, n)) is None
 
     def test_reversal_mirrors_gaps(self):
-        p = profile_row((1, 5, 8), ColumnOrdering.identity(8).reverse())
-        assert p.block_count == 3
-        assert p.gaps == (2, 3)
+        v = self.profile((1, 5, 8), ColumnOrdering.identity(8).reverse())
+        assert v.block_count == 3
+        assert v.gaps == (2, 3)
 
     def test_empty_row(self):
-        p = profile_row((), ColumnOrdering.identity(3))
-        assert p.block_count == 0 and p.gaps == ()
-
-    def test_out_of_universe_column(self):
-        with pytest.raises(ValueError):
-            profile_row((4,), ColumnOrdering.identity(3))
+        assert self.profile((), ColumnOrdering.identity(3)) is None
 
     def test_gap_accounting(self):
-        # Block widths plus gaps plus boundary zero runs cover every position.
+        # Block widths plus gaps plus boundary zero runs cover every position;
+        # a row with no violation at (1,0) is one block.
         rng = random.Random(42)
         for _ in range(200):
             m = random_matrix(rng)
@@ -138,11 +138,13 @@ class TestProfile:
                 if not row:
                     continue
                 positions = sorted(o.inverse[c - 1] for c in row)
-                p = profile_row(row, o)
+                v = self.profile(row, o)
+                gaps = v.gaps if v else ()
+                assert (v.block_count if v else 1) == len(gaps) + 1
                 widths = len(row)  # total ones == sum of block widths
                 leading = positions[0] - 1
                 trailing = m.num_columns - positions[-1]
-                assert widths + sum(p.gaps) + leading + trailing == m.num_columns
+                assert widths + sum(gaps) + leading + trailing == m.num_columns
 
 
 class TestCheck:
@@ -160,6 +162,7 @@ class TestCheck:
         report = check_ordering(m, ColumnOrdering.identity(8), GapSpec(2, 2))
         assert not report.ok
         assert report.first_violation.kind == GAP_TOO_LARGE
+        assert (report.first_violation.block_count, report.first_violation.gaps) == (2, (3,))
 
     def test_contiguous_rows_pass_strict_spec(self):
         m = BinaryMatrix(3, ((1, 2), (2, 3)))

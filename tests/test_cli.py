@@ -13,6 +13,7 @@ from gapc1p import (
     reduce_theorem2,
     serialize_matrix,
 )
+from gapc1p import verifysuite
 from gapc1p.cli import build_parser, main
 from gapc1p.verifysuite import SUITES, run_suite
 
@@ -83,6 +84,13 @@ class TestSolve:
         assert main([*argv, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)["stats"]
         assert stats["prunes"] == {"blocks": 1, "forced": 1, "deadline": 1, "symmetry": 2}
+
+    def test_classical_json_counts_every_rule_as_zero(self, triple, capsys):
+        assert main(["solve", "--matrix", str(triple), "--k", "1", "--delta", "0", "--json"]) == 1
+        stats = json.loads(capsys.readouterr().out)["stats"]
+        assert stats["nodes_expanded"] == 0
+        assert list(stats["prunes"].items()) == [
+            ("blocks", 0), ("forced", 0), ("deadline", 0), ("symmetry", 0)]
 
     def test_deep_path_is_satisfied(self, tmp_path):
         # 1,200 columns is deeper than Python's recursion limit.
@@ -315,7 +323,11 @@ class TestVerify:
         assert [c["id"] for c in cases] == ["C6", "C10", "C7", "C7S"]
         assert cases[3]["status"] == "pass" and "18 nodes" in cases[3]["detail"]
 
-    def test_suites_run_the_case_table_in_order(self):
+    def test_suites_run_the_case_table_in_order(self, monkeypatch):
+        # The table's ids and suites with instant checks: only the order is tested.
+        instant = tuple((case_id, suite, name, budget, lambda: "")
+                        for case_id, suite, name, budget, _ in verifysuite.CASES)
+        monkeypatch.setattr(verifysuite, "CASES", instant)
         ids = {suite: [r.case_id for r in run_suite(suite)] for suite in SUITES}
         assert ids == {
             "all": ["C1", "C2", "C3", "C4", "C5", "C9", "C6", "C10", "C7", "C7S"],

@@ -25,7 +25,7 @@ from gapc1p import (
 )
 from gapc1p.bitmatrix import valid_forward_maps
 from gapc1p.pqtree import consecutive_ordering
-from gapc1p.solver import WITNESS_CAP, breadth_first_order
+from gapc1p.solver import PRUNE_RULES, WITNESS_CAP, breadth_first_order
 from test_bitmatrix import random_matrix
 
 TRIPLE = BinaryMatrix(3, ((1, 2), (2, 3), (1, 3)))
@@ -107,6 +107,21 @@ class TestDecide:
         assert out.status == TIMED_OUT
         assert out.witness is None
         assert out.stats.nodes_expanded == 1024
+
+    def test_every_path_counts_every_prune_rule(self):
+        # Classical, no work rows, timed out, exhausted and satisfied.
+        cases = [
+            (TRIPLE, GapSpec(1, 0), SearchConfig(), EXHAUSTED),
+            (BinaryMatrix(4, ((), (2,))), GapSpec(2, 1), SearchConfig(), SATISFIED),
+            (ALL_PAIRS_5, GapSpec(2, 1), SearchConfig(node_limit=1), TIMED_OUT),
+            (ALL_PAIRS_5, GapSpec(2, 1), SearchConfig(), EXHAUSTED),
+            (TRIPLE, GapSpec(2, 1), SearchConfig(), SATISFIED),
+        ]
+        for m, spec, config, status in cases:
+            out = decide(m, spec, config)
+            assert out.status == status
+            assert tuple(out.stats.prunes) == PRUNE_RULES
+        assert decide(TRIPLE, GapSpec(1, 0)).stats.prunes == dict.fromkeys(PRUNE_RULES, 0)
 
     def test_search_counts_are_pinned(self):
         # A child that breaks both the deadline and the forced rule counts
