@@ -32,6 +32,14 @@ class MatrixFormatError(ValueError):
     """Raised when a matrix or ordering file cannot be parsed."""
 
 
+class RowError(ValueError):
+    """A row that is not strictly increasing or leaves 1..num_columns."""
+
+    def __init__(self, row: int, problem: str) -> None:
+        super().__init__(f"row {row} {problem}")
+        self.row = row  # 1-based
+
+
 @dataclass(frozen=True)
 class BinaryMatrix:
     """A binary matrix as an ordered sequence of row supports.
@@ -48,11 +56,9 @@ class BinaryMatrix:
         for i, row in enumerate(self.rows, start=1):
             for a, b in zip(row, row[1:]):
                 if a >= b:
-                    raise ValueError(f"row {i} is not strictly increasing")
+                    raise RowError(i, "is not strictly increasing")
             if row and (row[0] < 1 or row[-1] > self.num_columns):
-                raise ValueError(
-                    f"row {i} has an index outside 1..{self.num_columns}"
-                )
+                raise RowError(i, f"has an index outside 1..{self.num_columns}")
 
     @property
     def num_rows(self) -> int:
@@ -60,14 +66,8 @@ class BinaryMatrix:
 
     @classmethod
     def from_rows(cls, num_columns: int, rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
-        """Build a matrix, sorting each row and rejecting duplicate indices."""
-        normalized = []
-        for i, row in enumerate(rows, start=1):
-            support = tuple(sorted(row))
-            if len(set(support)) != len(support):
-                raise ValueError(f"row {i} contains a duplicate column index")
-            normalized.append(support)
-        return cls(num_columns, tuple(normalized))
+        """Build a matrix, sorting each row; a duplicate index is a RowError."""
+        return cls(num_columns, tuple(tuple(sorted(row)) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -290,8 +290,10 @@ def check_ordering(matrix: BinaryMatrix, ordering: ColumnOrdering, spec: GapSpec
 # row).  Ordering file: one line of num_cols space-separated column indices
 # (the forward map).  An index token is [1-9][0-9]*: no sign, no leading zero
 # (a 0/1 row such as "0011" must not be read as column 11), no underscore and
-# no non-ASCII digit, all of which int() would accept.  Other numbers read
-# from outside (header, DIMACS, CLI) go through strict_int.
+# no non-ASCII digit, all of which int() would accept.  Tokens are split by
+# str.split(), and each distinct token is checked and converted once per
+# file; its repeats are looked up.  Other numbers read from outside (header,
+# DIMACS, CLI) go through strict_int.
 
 _INTEGER = re.compile(r"-?[0-9]+")
 
@@ -317,15 +319,21 @@ def _parse_header(line: str) -> tuple[int, int]:
 
 
 _INDEX = re.compile(r"[1-9][0-9]*")
-# \s is exactly the whitespace str.split() splits on.
-_INDEX_LIST = re.compile(r"\s*(?:[1-9][0-9]*\s+)*(?:[1-9][0-9]*)?")
 
 
-def _bad_index(text: str) -> str:
-    """The first token of ``text`` that is not an index (``text`` holds one)."""
-    token = next(t for t in text.split() if not _INDEX.fullmatch(t))
-    return (f"bad index {token!r} (an index is a column number with no sign "
-            f"or leading zero)")
+class _Tokens(dict):
+    """Each index token read so far -> its column, one int per column.
+
+    A token not seen before is checked against ``_INDEX`` once, when it is
+    first looked up; the range of its column is the row check's.
+    """
+
+    def __missing__(self, token: str) -> int:
+        if not _INDEX.fullmatch(token):
+            raise MatrixFormatError(f"bad index {token!r} (an index is a column number "
+                                    f"with no sign or leading zero)")
+        col = self[token] = int(token)
+        return col
 
 
 def parse_matrix(text: str) -> BinaryMatrix:
@@ -337,17 +345,26 @@ def parse_matrix(text: str) -> BinaryMatrix:
         raise MatrixFormatError(
             f"expected {num_rows} row lines after the header, found {len(lines) - 1}"
         )
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not _INDEX_LIST.fullmatch(line):
-            raise MatrixFormatError(f"line {i}: {_bad_index(line)}")
-        support = sorted(map(int, line.split()))
-        if support and support[-1] > num_cols:
-            raise MatrixFormatError(f"line {i}: index {support[-1]} exceeds {num_cols} columns")
-        if len(set(support)) != len(support):
-            raise MatrixFormatError(f"line {i}: duplicate index in row")
-        rows.append(tuple(support))
-    return BinaryMatrix(num_cols, tuple(rows))
+    column = _Tokens().__getitem__
+    rows: list[tuple[int, ...]] = []
+    bad = None
+    try:
+        for line in lines[1:]:
+            rows.append(tuple(sorted(map(column, line.split()))))
+    except MatrixFormatError as exc:
+        bad = exc
+    # The row check runs on the rows before a bad token, so the first line
+    # with a fault is named; a sorted row fails it by range or by a repeat.
+    try:
+        matrix = BinaryMatrix(num_cols, tuple(rows))
+    except RowError as exc:
+        top = rows[exc.row - 1][-1]
+        problem = (f"index {top} exceeds {num_cols} columns" if top > num_cols
+                   else "duplicate index in row")
+        raise MatrixFormatError(f"line {exc.row + 1}: {problem}") from None
+    if bad is not None:
+        raise MatrixFormatError(f"line {len(rows) + 2}: {bad}")
+    return matrix
 
 
 def serialize_matrix(matrix: BinaryMatrix) -> str:
@@ -357,9 +374,10 @@ def serialize_matrix(matrix: BinaryMatrix) -> str:
 
 
 def parse_ordering(text: str, num_columns: int) -> ColumnOrdering:
-    if not _INDEX_LIST.fullmatch(text):
-        raise MatrixFormatError(f"ordering: {_bad_index(text)}")
-    forward = tuple(map(int, text.split()))
+    try:
+        forward = tuple(map(_Tokens().__getitem__, text.split()))
+    except MatrixFormatError as exc:
+        raise MatrixFormatError(f"ordering: {exc}") from None
     if len(forward) != num_columns:
         raise MatrixFormatError(
             f"ordering has {len(forward)} entries, expected {num_columns}"

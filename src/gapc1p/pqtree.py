@@ -21,6 +21,9 @@ another lies inside one of its classes and has smaller rows, so it is
 walked later and finds its class through its first column.  Every pass is a
 loop; no input depth reaches the recursion limit.
 
+Rows come in as ``BinaryMatrix`` rows: strictly increasing tuples, so equal
+rows are equal tuples and repeats are dropped without sorting or copying.
+
 The module keeps the name ``pqtree`` of the PQ-tree it replaced, because
 callers, including the benchmark harness, import it by that name.
 """
@@ -106,9 +109,12 @@ class _Classes:
         return True
 
 
-def consecutive_ordering(num_columns: int, rows: Iterable[Sequence[int]]) -> list[int] | None:
-    """Order 1..num_columns so every row is consecutive, or None if impossible."""
-    distinct = dict.fromkeys(tuple(sorted(set(row))) for row in rows)
+def consecutive_ordering(num_columns: int, rows: Iterable[tuple[int, ...]]) -> list[int] | None:
+    """Order 1..num_columns so every row is consecutive, or None if impossible.
+
+    Rows are ``BinaryMatrix`` rows (strictly increasing tuples) and are not copied.
+    """
+    distinct = dict.fromkeys(rows)
     work = [row for row in distinct if len(row) >= 2]
     work.sort(key=len, reverse=True)  # largest first
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,87 @@ class TestParsing:
             parse_ordering("1 2 2", 3)
         with pytest.raises(MatrixFormatError):
             parse_ordering("1 2", 3)
+
+
+def reference_rows(text):
+    """The README's matrix format read token by token: the rows, or the first fault's message."""
+    lines = text.splitlines()
+    num_cols = int(lines[0].split()[1])
+    rows = []
+    for i, line in enumerate(lines[1:], start=2):
+        tokens = line.split()
+        for t in tokens:
+            if not re.fullmatch(r"[1-9][0-9]*", t):
+                return f"line {i}: bad index {t!r}"
+        row = sorted(int(t) for t in tokens)
+        if row and row[-1] > num_cols:
+            return f"line {i}: index {row[-1]} exceeds {num_cols} columns"
+        if len(set(row)) < len(row):
+            return f"line {i}: duplicate index in row"
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+class TestTokenTable:
+    """``parse_matrix`` checks each distinct token once and shares its column int."""
+
+    def test_agrees_with_a_token_by_token_reader(self):
+        rng = random.Random(23)
+        bad = ["0011", "+07", "1_0", "\u0661\u0662", "0", "-3", "x"]
+        seps = [" ", "  ", "\t", "\u00a0"]
+        faults = 0
+        for _ in range(400):
+            n = rng.choice((3, 12, 300))
+            lines = []
+            for _ in range(rng.randint(0, 6)):
+                tokens = [str(rng.randint(1, n)) for _ in range(rng.randint(0, 6))]
+                if rng.random() < 0.1:
+                    tokens.append(rng.choice(bad))
+                if rng.random() < 0.1:
+                    tokens.append(str(n + rng.randint(1, 3)))
+                rng.shuffle(tokens)
+                lines.append(rng.choice(("", "\t")) + "".join(t + rng.choice(seps) for t in tokens))
+            text = "\n".join([f"{len(lines)} {n}"] + lines) + "\n"
+            expected = reference_rows(text)
+            if isinstance(expected, tuple):
+                assert parse_matrix(text).rows == expected, text
+            else:
+                faults += 1
+                with pytest.raises(MatrixFormatError, match=f"^{re.escape(expected)}"):
+                    parse_matrix(text)
+        assert 100 < faults < 300, faults  # both outcomes are well covered
+
+    def test_bad_token_on_a_later_line_names_that_line(self):
+        with pytest.raises(MatrixFormatError, match="line 3: bad index '012'"):
+            parse_matrix("2 20\n7 12\n7 012\n")
+        with pytest.raises(MatrixFormatError, match="line 4: bad index '\\+12'"):
+            parse_matrix("3 20\n12\n12 3\n+12\n")
+
+    def test_first_faulty_line_wins(self):
+        # A repeat on line 2 is named before a bad token on line 3.
+        with pytest.raises(MatrixFormatError, match="line 2: duplicate index in row"):
+            parse_matrix("2 20\n5 5\n0011\n")
+        # Within a line, a bad token beats a range fault, which beats a repeat.
+        with pytest.raises(MatrixFormatError, match="line 2: bad index 'x'"):
+            parse_matrix("1 12\n13 x\n")
+        with pytest.raises(MatrixFormatError, match="line 2: index 14 exceeds 12 columns"):
+            parse_matrix("1 12\n13 2 2 14\n")
+
+    def test_equal_columns_share_one_int(self):
+        m = parse_matrix("3 1000\n999 300\n300 999\n301\n")
+        assert m.rows == ((300, 999), (300, 999), (301,))
+        assert m.rows[0][0] is m.rows[1][0]
+        assert m.rows[0][1] is m.rows[1][1]
+
+    def test_table_is_sized_by_the_tokens_read(self):
+        tracemalloc.start()
+        try:
+            m = parse_matrix("1 1000000000\n5 999999999\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.rows == ((5, 999999999),)
+        assert peak < 1 << 20
 
 
 class TestProfile:
@@ -246,6 +328,8 @@ class TestTypes:
             BinaryMatrix(3, ((0, 1),))
         with pytest.raises(ValueError):
             BinaryMatrix.from_rows(3, [(1, 1)])
+        with pytest.raises(ValueError, match="row 2 is not strictly increasing"):
+            BinaryMatrix.from_rows(3, [(3, 1), (2, 1, 2)])
 
     def test_ordering_is_bijection(self):
         with pytest.raises(ValueError):

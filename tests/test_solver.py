@@ -14,6 +14,7 @@ from gapc1p import (
     TIMED_OUT,
     BinaryMatrix,
     Cnf,
+    ColumnOrdering,
     GapSpec,
     SearchConfig,
     brute_force,
@@ -415,6 +416,11 @@ class TestClassicC1P:
         for cls in classes:
             assert set(order[at:at + len(cls)]) == cls
             at += len(cls)
+
+    def test_repeated_rows_give_a_valid_ordering(self):
+        m = BinaryMatrix(5, ((1, 2), (2, 3), (1, 2), (3, 4, 5), (2, 3), (1, 2)))
+        ordering = ColumnOrdering(tuple(consecutive_ordering(5, m.rows)))
+        assert check_ordering(m, ordering, GapSpec(1, 0)).ok
 
     def test_nested_prefixes_have_no_recursion_cliff(self):
         # 1,200 nested rows, and the same prefixes plus {2..1201}, which
