@@ -12,6 +12,7 @@ at small scale, undersized gadgets included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,28 +69,28 @@ def verify_rigidity(
     k: int,
     extra_columns: int = 0,
 ) -> RigidityReport:
-    """Exhaustively confirm gadget rigidity over all permutations.
+    """Exhaustively confirm gadget rigidity over all permutations, for ``k >= 2``.
 
     Builds the gadget on columns 1..n inside a universe of n + extra_columns
-    columns, enumerates every ordering, and checks that in each valid one the
-    gadget columns sit consecutively in target or reversed order.  The extra
-    columns are unconstrained, and an undersized n is checked all the same.
-    A universe of more than ``ENUMERATION_CAP`` columns is a ValueError.
+    unconstrained columns and counts its valid orderings.  With ``k >= 2``
+    all 2 * (extra_columns + 1)! placements of the gadget block, target or
+    reversed, among the free columns are valid, so the gadget is rigid
+    exactly when the count equals that; otherwise the counterexample is the
+    first valid ordering, lexicographically, that is no such placement.  An
+    undersized n is checked all the same.  ``k < 2`` or a universe of more
+    than ``ENUMERATION_CAP`` columns is a ValueError.
     """
-    if n < 2:
-        raise ValueError("rigidity needs at least two selected columns")
+    if n < 2 or k < 2:
+        raise ValueError(f"rigidity needs n >= 2 and k >= 2, got n={n}, k={k}")
     if extra_columns < 0:
         raise ValueError(f"extra_columns must be nonnegative, got {extra_columns}")
     target = tuple(range(1, n + 1))
     matrix = BinaryMatrix(n + extra_columns, _pair_rows(target, delta))
-    reversed_target = tuple(reversed(target))
-    valid_count = 0
-    counterexample: ColumnOrdering | None = None
-    for forward in valid_forward_maps(matrix, GapSpec(k, delta)):
-        valid_count += 1
-        # Target columns are 1..n; the window runs from the first to the last.
-        spots = [p for p, c in enumerate(forward) if c <= n]
-        window = forward[spots[0]:spots[-1] + 1]
-        if window != target and window != reversed_target and counterexample is None:
-            counterexample = ColumnOrdering(forward)
+    valid_count, maps = valid_forward_maps(matrix, GapSpec(k, delta))
+    counterexample = None
+    if valid_count > 2 * math.factorial(extra_columns + 1):
+        # The first valid map whose columns 1..n are not a window in either order.
+        placements = (target, target[::-1])
+        counterexample = ColumnOrdering(next(
+            f for f in maps if f[min(f.index(1), f.index(n)):][:n] not in placements))
     return RigidityReport(counterexample is None, valid_count, counterexample)

@@ -32,11 +32,12 @@ pair stays on the caller's columns 1 and n.  A candidate's fate depends only
 on its parent, and an exhausted search judges every candidate of every frame
 it opens, so its nodes and prunes do not depend on the rank.
 
-``brute_force`` is the ground-truth oracle for small universes: an
-exhaustive enumeration that cuts dead prefixes, with exact counts and
-lexicographic witnesses.  ``classic_c1p`` is the special case with one block
-and no gaps, decided in polynomial time by overlap-component refinement;
-``decide`` routes every spec that collapses to it there.
+``brute_force`` is the ground-truth oracle for small universes: an exact
+count of the valid orderings, one step per distinct placement state rather
+than per ordering, with the first ones in lexicographic order as witnesses.
+``classic_c1p`` is the special case with one block and no gaps, decided in
+polynomial time by overlap-component refinement; ``decide`` routes every
+spec that collapses to it there.
 """
 
 from __future__ import annotations
@@ -371,19 +372,14 @@ def breadth_first_order(n_cols: int, rows: list[tuple[int, ...]]) -> list[int]:
 
 
 def brute_force(matrix: BinaryMatrix, spec: GapSpec) -> ExhaustiveReport:
-    """Enumerate all column permutations and count the valid ones.
+    """Count the valid column orderings exactly, with the first few as witnesses.
 
     The first ``WITNESS_CAP`` valid orderings, in lexicographic order of the
     forward maps, are kept as witnesses; ``valid_count`` is always exact.
     More than ``ENUMERATION_CAP`` columns is a ValueError.
     """
-    valid = 0
-    witnesses: list[ColumnOrdering] = []
-    for forward in valid_forward_maps(matrix, spec):
-        valid += 1
-        if len(witnesses) < WITNESS_CAP:
-            witnesses.append(ColumnOrdering(forward))
-    return ExhaustiveReport(valid, tuple(witnesses))
+    valid, maps = valid_forward_maps(matrix, spec)
+    return ExhaustiveReport(valid, tuple(map(ColumnOrdering, itertools.islice(maps, WITNESS_CAP))))
 
 
 def classic_c1p(matrix: BinaryMatrix) -> ColumnOrdering | None:

@@ -111,7 +111,7 @@ def rigidity() -> str:
 def embedded_rigidity() -> str:
     report = verify_rigidity(5, 1, 2, extra_columns=2)
     assert report.rigid, f"counterexample: {report.counterexample}"
-    return f"all 5040 orderings checked; {report.valid_count} valid, all rigid"
+    return f"all 5040 orderings counted; {report.valid_count} valid, all rigid"
 
 
 def solver_oracle() -> str:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -171,6 +172,18 @@ class TestTokenTable:
         assert m.rows == ((300, 999), (300, 999), (301,))
         assert m.rows[0][0] is m.rows[1][0]
         assert m.rows[0][1] is m.rows[1][1]
+
+    def test_index_too_long_for_int_is_out_of_range(self):
+        # 5,000 digits pass the index pattern, but int() refuses more than
+        # 4,300 and str() of such an int fails the same way.
+        long = "1" * 5000
+        too_long = "index of 5000 digits exceeds 3 columns"
+        with pytest.raises(MatrixFormatError, match=f"^line 2: {too_long}"):
+            parse_matrix(f"1 3\n1 {long}\n")
+        with pytest.raises(MatrixFormatError, match="^line 2: duplicate index in row"):
+            parse_matrix(f"2 3\n2 2\n{long}\n")
+        with pytest.raises(MatrixFormatError, match=f"^ordering: {too_long}"):
+            parse_ordering(f"1 {long} 2\n", 3)
 
     def test_table_is_sized_by_the_tokens_read(self):
         tracemalloc.start()
@@ -420,7 +433,10 @@ def reference_corpus():
 
 def test_valid_forward_maps_equals_the_permutation_filter():
     for m, spec in reference_corpus():
-        assert list(valid_forward_maps(m, spec)) == reference_forward_maps(m, spec), (m, spec)
+        count, maps = valid_forward_maps(m, spec)
+        reference = reference_forward_maps(m, spec)
+        assert list(maps) == reference, (m, spec)
+        assert count == len(reference), (m, spec)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -429,4 +445,18 @@ def test_valid_forward_maps_equals_the_permutation_filter():
            st.lists(st.sets(st.integers(1, n), max_size=5), max_size=7))),
        st.sampled_from(REFERENCE_SPECS))
 def test_valid_forward_maps_equals_the_permutation_filter_on_drawn_matrices(m, spec):
-    assert list(valid_forward_maps(m, spec)) == reference_forward_maps(m, spec)
+    count, maps = valid_forward_maps(m, spec)
+    reference = reference_forward_maps(m, spec)
+    assert list(maps) == reference
+    assert count == len(reference)
+
+
+@pytest.mark.parametrize("m, expected", [
+    (BinaryMatrix(10, ()), math.factorial(10)),
+    # A full row is one block in every ordering, and a single one never breaks.
+    (BinaryMatrix(9, (tuple(range(1, 10)), (2,))), math.factorial(9)),
+])
+def test_valid_forward_maps_counts_beyond_the_reference(m, expected):
+    count, maps = valid_forward_maps(m, GapSpec(1, 0))
+    assert count == expected
+    assert next(maps) == tuple(range(1, m.num_columns + 1))

@@ -160,6 +160,12 @@ class TestSolve:
         assert main(["solve", "--matrix", str(tmp_path / "nope.txt"),
                      "--k", "1", "--delta", "0"]) == 3
 
+    def test_index_too_long_for_int_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "long.txt"
+        path.write_text("1 3\n" + "1" * 5000 + "\n")
+        assert main(["solve", "--matrix", str(path), "--k", "2", "--delta", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error: line 2: index of 5000 digits exceeds")
+
 
 class TestCheck:
     def test_check_on_solve_witness_round_trip(self, triple, tmp_path, capsys):
@@ -178,6 +184,13 @@ class TestCheck:
                      "--k", "1", "--delta", "0"])
         assert code == 1
         assert "violation" in capsys.readouterr().out
+
+    def test_index_too_long_for_int_is_a_format_error(self, triple, tmp_path, capsys):
+        order_path = tmp_path / "long.txt"
+        order_path.write_text("1 2 " + "9" * 5000 + "\n")
+        assert main(["check", "--matrix", str(triple), "--order", str(order_path),
+                     "--k", "2", "--delta", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error: ordering: index of 5000 digits exceeds")
 
     def test_json_violation_payload(self, triple, tmp_path, capsys):
         order_path = tmp_path / "id.txt"

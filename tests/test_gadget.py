@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import pytest
 
 from gapc1p import (
     BinaryMatrix,
+    ColumnOrdering,
     GapSpec,
     brute_force,
     build_gadget,
+    check_ordering,
     gadget_row_count,
     verify_rigidity,
 )
@@ -126,6 +129,31 @@ class TestRigidity:
     def test_negative_extra_columns_rejected(self):
         with pytest.raises(ValueError, match="extra_columns"):
             verify_rigidity(5, 1, 2, extra_columns=-1)
+
+    @pytest.mark.parametrize("n, delta, k, extra", [
+        (4, 1, 2, 0), (4, 1, 2, 1), (4, 1, 2, 2), (5, 2, 2, 0), (5, 2, 2, 1)])
+    def test_counterexample_is_the_first_non_rigid_ordering(self, n, delta, k, extra):
+        # The definition: filter every permutation by the row check, then
+        # take the first valid one whose gadget columns are not in place.
+        rows = [(a, b) for a in range(1, n + 1) for b in range(a + 1, min(a + delta + 2, n + 1))]
+        m = BinaryMatrix(n + extra, tuple(rows))
+        spec = GapSpec(k, delta)
+        valid = [f for f in itertools.permutations(range(1, n + extra + 1))
+                 if check_ordering(m, ColumnOrdering(f), spec).ok]
+        target = tuple(range(1, n + 1))
+
+        def in_place(f):
+            start = min(f.index(1), f.index(n))
+            return f[start:start + n] in (target, target[::-1])
+
+        report = verify_rigidity(n, delta, k, extra_columns=extra)
+        assert report.valid_count == len(valid)
+        assert not report.rigid
+        assert report.counterexample.forward == next(f for f in valid if not in_place(f))
+
+    def test_single_block_is_refused(self):
+        with pytest.raises(ValueError, match="k >= 2"):
+            verify_rigidity(5, 1, 1)
 
     def test_undersized_gadget_is_reported_not_hidden(self):
         # Below the hypothesis the construction may lose rigidity; the
