@@ -32,8 +32,6 @@ from .reduction import (
     ReductionParams,
     parse_dimacs,
     reduce_formula,
-    reduce_theorem2,
-    reduce_theorem3,
     satisfying_assignments,
     to_exact3,
     verify_reduction,
@@ -88,8 +86,6 @@ __all__ = [
     "parse_matrix",
     "parse_ordering",
     "reduce_formula",
-    "reduce_theorem2",
-    "reduce_theorem3",
     "satisfying_assignments",
     "serialize_matrix",
     "serialize_ordering",

@@ -1,7 +1,8 @@
-"""3SAT-to-matrix reduction generators and their equivalence harness.
+"""3SAT-to-matrix reduction generator and its equivalence harness.
 
-Two families of hardness instances are generated from an exactly-3-CNF
-formula with ``n`` variables and ``m`` clauses.  Both share one layout:
+``reduce_formula(cnf, spec)`` builds the hardness instance of any CNF,
+normalized to exactly three literals per clause, in one of two families that
+the spec picks.  Over ``n`` variables and ``m`` clauses both share one layout:
 
 * columns ``2i-1, 2i`` form the two-column block of variable ``i``;
 * a *separator* of ``d = max(2k, 2*delta + 3)`` columns follows (``max(2k, 5)``
@@ -62,6 +63,8 @@ class Cnf:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.num_vars < 0:
+            raise ValueError(f"num_vars must be >= 0, got {self.num_vars}")
         for i, clause in enumerate(self.clauses, start=1):
             if not clause:
                 raise ValueError(f"clause {i} is empty")
@@ -304,16 +307,22 @@ def _literal_row(
     return tuple(sorted(cols))
 
 
-def _build(cnf: Cnf, k: int, delta: int) -> ReductionOutput:
-    # delta = 1 is the block-count family (theorem 3), delta >= 2 the gapped one.
+def reduce_formula(cnf: Cnf, spec: GapSpec) -> ReductionOutput:
+    """The hardness instance for ``spec`` of any CNF, normalized by ``to_exact3``.
+
+    delta = 1 picks the block-count family (k >= 3) and delta >= 2 the
+    gapped family (k >= 2); (2,1) and the classical specs have none.  Both
+    widen the printed separator to max{2k, 2*delta+3} (REPAIRS.md R2, R7).
+    """
+    if spec.classical:
+        raise ValueError(f"{spec} is the classical C1P, polynomial, no hardness family")
+    k, delta = spec.k, spec.delta
+    if k is None or delta is None:
+        raise ValueError(f"the hardness families need a finite k and delta, got {spec}")
     if delta == 1 and k < 3:
         raise ValueError("the block-count family requires k >= 3; (2,1) is the "
                          "paper's open case and has no hardness family")
-    if k < 2:
-        raise ValueError("the gapped family requires k >= 2")
-    for i, clause in enumerate(cnf.clauses, start=1):
-        if len(clause) != 3:
-            raise ValueError(f"clause {i} has {len(clause)} literals; expected exactly 3")
+    cnf = to_exact3(cnf)
     theorem, width, tail_start = (3, 4, 2 * k - 5) if delta == 1 else (2, 5, 2 * k - 3)
     d = max(2 * k, 2 * delta + 3)
     n, m = cnf.num_vars, len(cnf.clauses)
@@ -336,35 +345,15 @@ def _build(cnf: Cnf, k: int, delta: int) -> ReductionOutput:
     return ReductionOutput(matrix, _legend(n, d, blocks), cnf, params, blocks, first_literal_row)
 
 
-def reduce_theorem3(cnf3: Cnf, k: int) -> ReductionOutput:
-    """Instance family for the block-count bound with unit gaps (k >= 3, delta = 1)."""
-    return _build(cnf3, k, 1)
+# Shorthands for reduce_formula, outside the public API.  They keep their
+# names, as ``pqtree`` keeps its own, because the benchmark harness calls and
+# traces them by name.
+def reduce_theorem3(cnf: Cnf, k: int) -> ReductionOutput:
+    return reduce_formula(cnf, GapSpec(k, 1))
 
 
-def reduce_theorem2(cnf3: Cnf, k: int, delta: int) -> ReductionOutput:
-    """Instance family for the jointly gapped bound (k >= 2, delta >= 2).
-
-    The separator is max{2k, 2*delta+3} wide, not the printed max{2k, 5}, so
-    the rigidity gadget's hypothesis holds (REPAIRS.md R7); the block-count
-    family uses the same width, which is max{2k, 5} at delta = 1.
-    """
-    if delta < 2:
-        raise ValueError("the gapped family requires delta >= 2; use the k >= 3 "
-                         "family for delta = 1")
-    return _build(cnf3, k, delta)
-
-
-def reduce_formula(cnf: Cnf, spec: GapSpec) -> ReductionOutput:
-    """The hardness instance for ``spec`` of any CNF, normalized by ``to_exact3``.
-
-    delta = 1 picks the block-count family (k >= 3) and delta >= 2 the
-    gapped family (k >= 2); (2,1) and the classical specs have none.
-    """
-    if spec.classical:
-        raise ValueError(f"{spec} is the classical C1P, polynomial, no hardness family")
-    if spec.k is None or spec.delta is None:
-        raise ValueError(f"the hardness families need a finite k and delta, got {spec}")
-    return _build(to_exact3(cnf), spec.k, spec.delta)
+def reduce_theorem2(cnf: Cnf, k: int, delta: int) -> ReductionOutput:
+    return reduce_formula(cnf, GapSpec(k, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +373,9 @@ def witness_from_assignment(
     """
     cnf = output.cnf
     params = output.params
+    missing = next((i for i in range(1, params.num_vars + 1) if i not in assignment), None)
+    if missing is not None:
+        raise ValueError(f"assignment has no value for variable {missing}")
     if not formula_value(cnf, assignment):
         raise ValueError("assignment does not satisfy the recorded formula")
     forward: list[int] = []

@@ -97,7 +97,7 @@ def test_reduction_suite_runs_from_an_installed_copy(tmp_path):
 
 
 def test_public_names_are_pinned():
-    # The 42 public names; adding or removing one is a deliberate change here.
+    # The 40 public names; adding or removing one is a deliberate change here.
     assert sorted(gapc1p.__all__) == [
         "BinaryMatrix", "CheckReport", "Cnf", "ColumnOrdering", "ColumnRole",
         "ConstructionError", "DimacsFormatError", "EXHAUSTED", "EquivalenceReport",
@@ -106,9 +106,8 @@ def test_public_names_are_pinned():
         "SearchConfig", "SearchStats", "SolveOutcome", "TIMED_OUT", "TOO_MANY_BLOCKS",
         "Violation", "brute_force", "build_gadget", "check_ordering", "classic_c1p",
         "decide", "gadget_row_count", "parse_dimacs", "parse_matrix", "parse_ordering",
-        "reduce_formula", "reduce_theorem2", "reduce_theorem3", "satisfying_assignments",
-        "serialize_matrix", "serialize_ordering", "to_exact3", "verify_reduction",
-        "verify_rigidity", "witness_from_assignment",
+        "reduce_formula", "satisfying_assignments", "serialize_matrix", "serialize_ordering",
+        "to_exact3", "verify_reduction", "verify_rigidity", "witness_from_assignment",
     ]
     for name in gapc1p.__all__:
         assert hasattr(gapc1p, name), name

@@ -10,7 +10,7 @@ from gapc1p import (
     check_ordering,
     parse_matrix,
     parse_ordering,
-    reduce_theorem2,
+    reduce_formula,
     serialize_matrix,
 )
 from gapc1p import verifysuite
@@ -109,7 +109,7 @@ class TestSolve:
         # The deadline is read every 1,024 nodes; this companion needs millions.
         path = tmp_path / "companion_3_3.txt"
         cnf = Cnf(1, ((1, 1, 1), (-1, -1, -1)))
-        path.write_text(serialize_matrix(reduce_theorem2(cnf, 3, 3).matrix))
+        path.write_text(serialize_matrix(reduce_formula(cnf, GapSpec(3, 3)).matrix))
         code = main(["solve", "--matrix", str(path), "--k", "3", "--delta", "3",
                      "--timeout", "0"])
         assert code == 2

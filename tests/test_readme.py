@@ -36,8 +36,9 @@ def test_ci_workflow_runs_the_tier1_command():
     runs = [line.strip() for line in workflow.splitlines() if line.strip().startswith("run: ")]
     assert f"run: {command.group(1)}" in runs
     assert "run: python3 perfbench/selfcheck.py" in runs
-    # A full-size planted run that fails unless its result line is correct.
-    planted = "run: python3 perfbench/run.py --workload planted --seed 1 --seconds 5 --trace 0 | "
-    checks = [run for run in runs if run.startswith(planted)]
-    assert checks, "CI runs no full-size planted correctness check"
-    assert "r['correct'] is True and r['failed'] == 0" in checks[0]
+    # Full-size planted and refute runs that fail unless their result line is correct.
+    for workload in ("planted", "refute"):
+        step = f"run: python3 perfbench/run.py --workload {workload} --seed 1 --seconds 5 --trace 0 | "
+        checks = [run for run in runs if run.startswith(step)]
+        assert checks, f"CI runs no full-size {workload} correctness check"
+        assert "r['correct'] is True and r['failed'] == 0" in checks[0]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -15,15 +16,16 @@ from gapc1p import (
     check_ordering,
     parse_dimacs,
     reduce_formula,
-    reduce_theorem2,
-    reduce_theorem3,
     satisfying_assignments,
+    serialize_matrix,
     to_exact3,
     verify_reduction,
     witness_from_assignment,
     decide,
 )
-from gapc1p.reduction import ROLE_CLAUSE, ROLE_SEPARATOR, ROLE_VARIABLE, formula_value
+from gapc1p.reduction import (
+    ROLE_CLAUSE, ROLE_SEPARATOR, ROLE_VARIABLE, formula_value, reduce_theorem2, reduce_theorem3,
+)
 
 ONE_VAR_CLAUSES = [(1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1)]
 # The 45 satisfiable formulas of the R9 sweep (see small_formulas) whose
@@ -65,6 +67,45 @@ def small_formulas():
                 if {abs(lit) for c in f for lit in c} == set(range(1, n + 1)):
                     yield Cnf(n, f)
 
+
+# sha256 of every instance and refusal of reduce_formula over the sweep below.
+# It pins the generated rows and layouts: a change to the construction must
+# re-pin it on purpose.
+SWEEP_DIGEST = "60c3e270f1797bbc413f0fc8de782221cb71956d07d42e53a207ac6ae7d232d3"
+SWEEP_BOUNDS = (None, 0, 1, 2, 3, 4, 5, 6)
+
+
+def sweep_formulas():
+    """40 formulas: two empty ones and 38 seeded ones of 1-4 clauses, 1-5 literals each."""
+    rng = random.Random(1831)
+    yield Cnf(0, ())
+    yield Cnf(2, ())
+    for _ in range(38):
+        n = rng.randint(1, 4)
+        yield Cnf(n, tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 5)))
+            for _ in range(rng.randint(1, 4))
+        ))
+
+
+def sweep_digest():
+    """Hash each instance over the sweep, or its refusal message, at k, delta in SWEEP_BOUNDS."""
+    digest = hashlib.sha256()
+    for cnf in sweep_formulas():
+        for k in SWEEP_BOUNDS:
+            if k == 0:
+                continue
+            for delta in SWEEP_BOUNDS[:-1]:
+                try:
+                    out = reduce_formula(cnf, GapSpec(k, delta))
+                except ValueError as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                    continue
+                legend = sorted((c, r.kind, r.index, r.slot) for c, r in out.legend.items())
+                digest.update(serialize_matrix(out.matrix).encode())
+                digest.update(repr((legend, out.params, out.clause_blocks,
+                                    out.first_literal_row, out.cnf)).encode())
+    return digest.hexdigest()
 
 class TestDimacs:
     def test_single_repeated_literal(self):
@@ -151,23 +192,19 @@ class TestSatOracle:
 
 class TestTheorem3Shape:
     def test_single_variable_single_clause_counts(self):
-        out = reduce_theorem3(cnf_over(1, (1, 1, 1)), 3)
+        out = reduce_formula(cnf_over(1, (1, 1, 1)), GapSpec(3, 1))
         assert out.params.d == 6
         assert out.matrix.num_columns == 12
         assert out.matrix.num_rows == 14  # gadget 9 + variable 1 + nesting 1 + literal 3
 
     def test_two_by_two_counts(self):
-        out = reduce_theorem3(cnf_over(2, (1, 2, 2), (-1, -2, -2)), 3)
+        out = reduce_formula(cnf_over(2, (1, 2, 2), (-1, -2, -2)), GapSpec(3, 1))
         assert out.matrix.num_columns == 18
         assert out.matrix.num_rows == 19
 
     def test_k_below_three_rejected(self):
         with pytest.raises(ValueError, match="open case"):
-            reduce_theorem3(cnf_over(1, (1, 1, 1)), 2)
-
-    def test_arity_enforced(self):
-        with pytest.raises(ValueError):
-            reduce_theorem3(cnf_over(1, (1, 1)), 3)
+            reduce_formula(cnf_over(1, (1, 1, 1)), GapSpec(2, 1))
 
     def test_size_formulas_across_range(self):
         for n in range(1, 5):
@@ -176,13 +213,13 @@ class TestTheorem3Shape:
                     ((j % n) + 1, -(((j + 1) % n) + 1), (j % n) + 1) for j in range(m)
                 )
                 for k in (3, 4):
-                    out = reduce_theorem3(Cnf(n, clauses), k)
+                    out = reduce_formula(Cnf(n, clauses), GapSpec(k, 1))
                     d = max(2 * k, 5)
                     assert out.matrix.num_columns == 2 * n + d + 4 * m
                     assert out.matrix.num_rows == n + 4 * m + 2 * d - 3
 
     def test_legend_partitions_columns(self):
-        out = reduce_theorem3(cnf_over(2, (1, 2, 2), (-1, -2, -2)), 3)
+        out = reduce_formula(cnf_over(2, (1, 2, 2), (-1, -2, -2)), GapSpec(3, 1))
         legend = out.legend
         assert sorted(legend) == list(range(1, out.matrix.num_columns + 1))
         n, d = out.params.num_vars, out.params.d
@@ -195,7 +232,7 @@ class TestTheorem3Shape:
                 assert role.kind == ROLE_CLAUSE
 
     def test_separator_carries_full_gadget(self):
-        out = reduce_theorem3(cnf_over(1, (1, 1, 1)), 3)
+        out = reduce_formula(cnf_over(1, (1, 1, 1)), GapSpec(3, 1))
         sep = tuple(out.separator_column(t) for t in range(1, out.params.d + 1))
         expected = set(build_gadget(sep, 1))
         assert expected <= set(out.matrix.rows)
@@ -203,30 +240,30 @@ class TestTheorem3Shape:
 
 class TestTheorem2Shape:
     def test_repaired_counts(self):
-        out = reduce_theorem2(cnf_over(1, (1, 1, 1)), 2, 2)
+        out = reduce_formula(cnf_over(1, (1, 1, 1)), GapSpec(2, 2))
         assert out.params.d == 7  # max(2k, 2*delta+3)
         assert out.matrix.num_columns == 14
         assert out.matrix.num_rows == 20
 
     def test_every_separator_meets_the_rigidity_hypothesis(self):
-        # _build checks d >= 2*delta+3 through build_gadget for each instance.
+        # build_gadget checks d >= 2*delta+3 for each instance.
         f = cnf_over(1, (1, 1, 1))
         for k in range(2, 9):
             for delta in range(2, 9):
-                assert reduce_theorem2(f, k, delta).params.d == max(2 * k, 2 * delta + 3)
+                assert reduce_formula(f, GapSpec(k, delta)).params.d == max(2 * k, 2 * delta + 3)
             if k >= 3:
-                assert reduce_theorem3(f, k).params.d == max(2 * k, 5)
+                assert reduce_formula(f, GapSpec(k, 1)).params.d == max(2 * k, 5)
 
     def test_delta_one_belongs_to_other_family(self):
-        with pytest.raises(ValueError):
-            reduce_theorem2(cnf_over(1, (1, 1, 1)), 2, 1)
-
-    def test_k_one_rejected(self):
-        with pytest.raises(ValueError, match="the gapped family requires k >= 2"):
-            reduce_theorem2(cnf_over(1, (1, 1, 1)), 1, 2)
+        f = cnf_over(1, (1, 1, 1))
+        for k, delta in ((3, 1), (4, 1), (2, 2), (3, 2), (2, 3)):
+            out = reduce_formula(f, GapSpec(k, delta))
+            theorem, width = (3, 4) if delta == 1 else (2, 5)
+            assert out.params.theorem == theorem
+            assert [len(block) for block in out.clause_blocks] == [width]
 
     def test_clause_blocks_disjoint_and_five_wide(self):
-        out = reduce_theorem2(cnf_over(1, (1, 1, 1), (1, 1, 1)), 2, 2)
+        out = reduce_formula(cnf_over(1, (1, 1, 1), (1, 1, 1)), GapSpec(2, 2))
         b1, b2 = out.clause_blocks
         assert len(b1) == len(b2) == 5
         assert not set(b1) & set(b2)
@@ -239,10 +276,25 @@ class TestTheorem2Shape:
 class TestReduceFormula:
     def test_the_spec_picks_the_family(self):
         phi = cnf_over(1, (1, -1))  # normalized to exactly three literals
-        phi3 = to_exact3(phi)
         for k, delta in ((3, 1), (4, 1), (2, 2), (3, 2), (2, 3)):
-            family = reduce_theorem3(phi3, k) if delta == 1 else reduce_theorem2(phi3, k, delta)
-            assert reduce_formula(phi, GapSpec(k, delta)) == family
+            out = reduce_formula(phi, GapSpec(k, delta))
+            assert out == reduce_formula(to_exact3(phi), GapSpec(k, delta))
+            assert out.cnf.clauses == ((1, 1, -1),)
+
+    def test_benchmark_entry_points_equal_reduce_formula(self):
+        refute = Cnf(1, ((1, 1, 1), (-1, -1, -1)))
+        for k in range(3, 9):
+            assert reduce_theorem3(refute, k) == reduce_formula(refute, GapSpec(k, 1))
+        assert reduce_theorem2(refute, 3, 3) == reduce_formula(refute, GapSpec(3, 3))
+        # Infinite bounds are refused with the spec's message, not a TypeError.
+        with pytest.raises(ValueError, match="finite k and delta"):
+            reduce_theorem3(refute, None)
+        with pytest.raises(ValueError, match="finite k and delta"):
+            reduce_theorem2(refute, 2, None)
+
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(ValueError, match="num_vars must be >= 0, got -1"):
+            Cnf(-1, ())
 
     def test_specs_without_a_family_are_rejected(self):
         phi = cnf_over(1, (1, 1, 1))
@@ -258,31 +310,39 @@ class TestReduceFormula:
         with pytest.raises(TypeError):
             verify_reduction(phi, 3, 3)
 
+    def test_instances_match_the_pinned_digest(self):
+        assert sweep_digest() == SWEEP_DIGEST
+
 
 class TestWitness:
     def test_theorem3_witness_validates(self):
-        out = reduce_theorem3(cnf_over(1, (1, 1, 1)), 3)
+        out = reduce_formula(cnf_over(1, (1, 1, 1)), GapSpec(3, 1))
         witness = witness_from_assignment(out, {1: True})
         assert check_ordering(out.matrix, witness, GapSpec(3, 1)).ok
 
+    def test_assignment_missing_a_variable_rejected(self):
+        out = reduce_formula(Cnf(3, ((1, 1, 1),)), GapSpec(3, 1))
+        with pytest.raises(ValueError, match="no value for variable 2"):
+            witness_from_assignment(out, {1: True})
+
     def test_unsatisfying_assignment_rejected(self):
-        out = reduce_theorem3(cnf_over(1, (1, 1, 1)), 3)
+        out = reduce_formula(cnf_over(1, (1, 1, 1)), GapSpec(3, 1))
         with pytest.raises(ValueError, match="does not satisfy"):
             witness_from_assignment(out, {1: False})
 
     def test_witness_reversal_also_valid(self):
-        out = reduce_theorem3(cnf_over(1, (1, 1, 1)), 3)
+        out = reduce_formula(cnf_over(1, (1, 1, 1)), GapSpec(3, 1))
         witness = witness_from_assignment(out, {1: True})
         assert check_ordering(out.matrix, witness.reverse(), GapSpec(3, 1)).ok
 
     def test_theorem2_witness_validates(self):
-        out = reduce_theorem2(cnf_over(1, (-1, -1, -1)), 2, 2)
+        out = reduce_formula(cnf_over(1, (-1, -1, -1)), GapSpec(2, 2))
         witness = witness_from_assignment(out, {1: False})
         assert check_ordering(out.matrix, witness, GapSpec(2, 2)).ok
 
     def test_negative_literal_orientation_penalty(self):
         # With the satisfying orientation flipped, some clause row must break.
-        out = reduce_theorem3(cnf_over(1, (1, 1, 1)), 3)
+        out = reduce_formula(cnf_over(1, (1, 1, 1)), GapSpec(3, 1))
         good = witness_from_assignment(out, {1: True})
         flipped = list(good.forward)
         p1, p2 = flipped.index(1), flipped.index(2)
@@ -306,7 +366,7 @@ class TestForcedGapMechanism:
         # Any witness orients variable blocks; rows of falsified literals
         # must keep their two clause-block targets among the head columns.
         phi = cnf_over(1, (1, 1, -1))
-        out = reduce_theorem3(to_exact3(phi), 3)
+        out = reduce_formula(phi, GapSpec(3, 1))
         outcome = decide(out.matrix, GapSpec(3, 1))
         assert outcome.status == SATISFIED
         ordering = outcome.witness
@@ -384,9 +444,9 @@ class TestEquivalence:
         lost = set()
         for f in formulas:
             satisfiable = next(satisfying_assignments(f), None) is not None
-            t3 = decide(reduce_theorem3(f, 3).matrix, GapSpec(3, 1))
+            t3 = decide(reduce_formula(f, GapSpec(3, 1)).matrix, GapSpec(3, 1))
             assert (t3.status == SATISFIED) == satisfiable, f
-            t2 = decide(reduce_theorem2(f, 2, 2).matrix, GapSpec(2, 2))
+            t2 = decide(reduce_formula(f, GapSpec(2, 2)).matrix, GapSpec(2, 2))
             if not satisfiable:
                 assert t2.status == EXHAUSTED, f
             elif t2.status == EXHAUSTED:

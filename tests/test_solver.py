@@ -21,8 +21,7 @@ from gapc1p import (
     check_ordering,
     classic_c1p,
     decide,
-    reduce_theorem2,
-    reduce_theorem3,
+    reduce_formula,
 )
 from gapc1p.bitmatrix import valid_forward_maps
 from gapc1p.pqtree import consecutive_ordering
@@ -65,12 +64,12 @@ def nested_prefixes(count: int) -> list[list[int]]:
 
 def refute(k: int = 3) -> BinaryMatrix:
     """The Theorem-3 matrix of (x) and (not x): unsatisfiable at (k,1)."""
-    return reduce_theorem3(Cnf(1, ((1, 1, 1), (-1, -1, -1))), k).matrix
+    return reduce_formula(Cnf(1, ((1, 1, 1), (-1, -1, -1))), GapSpec(k, 1)).matrix
 
 
 def companion_3_3() -> BinaryMatrix:
     """The Theorem-2 (3,3) matrix of (x) and (not x): 21 columns, millions of nodes."""
-    return reduce_theorem2(Cnf(1, ((1, 1, 1), (-1, -1, -1))), 3, 3).matrix
+    return reduce_formula(Cnf(1, ((1, 1, 1), (-1, -1, -1))), GapSpec(3, 3)).matrix
 
 
 class TestDecide:
@@ -145,7 +144,7 @@ class TestDecide:
         for k, nodes in zip(range(3, 9), (175, 250, 365, 405, 445, 485)):
             out = decide(refute(k), GapSpec(k, 1))
             assert (out.status, out.stats.nodes_expanded) == (EXHAUSTED, nodes)
-        companion = reduce_theorem2(Cnf(1, ((1, 1, 1), (-1, -1, -1))), 2, 3).matrix
+        companion = reduce_formula(Cnf(1, ((1, 1, 1), (-1, -1, -1))), GapSpec(2, 3)).matrix
         out = decide(companion, GapSpec(2, 3))
         assert (out.status, out.stats.nodes_expanded) == (EXHAUSTED, 1310)
         assert out.stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 1236}
