@@ -16,21 +16,37 @@ All three rules are necessary conditions, so an exhausted search is a proof
 that no ordering exists.  The search is one loop over an explicit stack of
 immutable states, so depth is not limited by the recursion limit.
 
+Only the columns that the work rows (rows of two or more ones) hold are
+searched.  A free column, in no work row, cannot change the answer:
+deleting a column only shortens gaps, and placed after the last searched
+column it touches no row, so the witness ends with the free columns in label
+order.
+
 Each candidate counts as one node and is judged in a fixed order; a rejected
 one is counted once, under the first rule that fires.  Three tests need only
 the parent, so they run before the child state is built: the blocks rule,
 against a mask of the columns each frame may take, then two deadline tests,
-that the column lies in the parent's smallest tight union and that a free
-column does not start rows with too little slack.  The child is then built,
-and the forced rule (no column may come next) and Hall's condition on the
-child come last.
+that the column lies in the parent's smallest tight union and that an
+untouched column does not start rows with too little slack.  The child is
+then built, and the forced rule (no column may come next), the exhausted-state
+table and Hall's condition on the child come last.
+
+A state, without its prefix, determines its whole subtree, and a frame is
+popped only once every candidate under it has failed.  So each popped state
+goes into a table of dead states, and a child found there is a ``seen`` node
+and is not searched again (nogood recording, Dechter 1990, on the subset
+states of Held and Karp 1962).  Only exhausted subtrees are cut, so no status
+and no first witness changes.  The table is cleared when it holds
+``TABLE_FIELDS`` packed row fields, which only forgets pruning.
 
 Ties between candidates follow one static rank, not the labels: the columns
 in breadth-first (Cuthill-McKee) order, each component from a far column, so
 a layout starts at an end rather than in its interior.  The reversal-symmetry
-pair stays on the caller's columns 1 and n.  A candidate's fate depends only
-on its parent, and an exhausted search judges every candidate of every frame
-it opens, so its nodes and prunes do not depend on the rank.
+pair stays on the caller's columns 1 and n, and is dropped when either is
+free.  A candidate's fate depends only on its parent, an exhausted search
+judges every candidate of every frame it opens, and until the table is first
+cleared it opens each state once, so its nodes and prunes do not depend on
+the rank.
 
 ``brute_force`` is the ground-truth oracle for small universes: an exact
 count of the valid orderings, one step per distinct placement state rather
@@ -57,7 +73,12 @@ TIMED_OUT = "timed_out"
 WITNESS_CAP = 8
 
 # The rules a search candidate can be pruned by, in the order reports list them.
-PRUNE_RULES = ("blocks", "forced", "deadline", "symmetry")
+PRUNE_RULES = ("blocks", "forced", "deadline", "symmetry", "seen")
+
+# The exhausted-state table of one search holds at most this many packed row
+# fields (entries times work rows), since a key grows with the row count; it
+# is cleared when full, which only forgets pruning.
+TABLE_FIELDS = 1 << 23
 
 # A search state: the unplaced-column mask; `touched`, the unplaced columns
 # sharing a row with an active row; `allowed`, the candidates the forced rule
@@ -132,9 +153,13 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             SearchStats(0, time.monotonic() - t0, prunes),
         )
 
-    # Search columns relabelled by breadth-first rank, so every tie is broken
-    # in that order; the witness is mapped back at the end.
-    order = breadth_first_order(n_cols, work_rows)
+    # Search only the columns the work rows hold, relabelled by breadth-first
+    # rank, so every tie is broken in that order; the witness is mapped back
+    # at the end and the free columns follow it, where they touch no row.
+    held = {c for row in work_rows for c in row}
+    order = [c for c in breadth_first_order(n_cols, work_rows) if c in held]
+    free = [c for c in range(1, n_cols + 1) if c not in held]
+    n_cols = len(order)  # the searched columns from here on
     rank = {c: at for at, c in enumerate(order, 1)}
     work_rows = [tuple(map(rank.__getitem__, row)) for row in work_rows]
     longest = max(len(row) for row in work_rows)
@@ -155,7 +180,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     masks = [sum(1 << (c - 1) for c in row) for row in work_rows]
     # Per column: its bit, the low bits of its rows, the columns sharing a
     # row with it, and the gap-field mask and base that reset its rows; and
-    # the (slack + 1, other columns) of the rows it starts when it is free.
+    # the (slack + 1, other columns) of the rows it starts when it is untouched.
     col_rows = [0] * (n_cols + 1)
     near = [0] * (n_cols + 1)
     fresh: list[list[tuple[int, int]]] = [[] for _ in range(n_cols + 1)]
@@ -170,9 +195,11 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     # Row masks keyed by the top bit of the row's field.
     row_mask = {1 << (width * ri + shift): mask for ri, mask in enumerate(masks)}
 
-    # The reversal-symmetry pair stays on the caller's columns 1 and n_cols.
-    bit_first = 1 << (rank[1] - 1)
-    bit_last = 1 << (rank[n_cols] - 1)
+    # The reversal-symmetry pair stays on the caller's columns 1 and n, and
+    # is dropped if either is free, so relabelling the others changes no count.
+    bit_first = bit_last = 0
+    if 1 in rank and matrix.num_columns in rank:
+        bit_first, bit_last = 1 << (rank[1] - 1), 1 << (rank[matrix.num_columns] - 1)
     deadline = None if cfg.timeout_seconds is None else t0 + cfg.timeout_seconds
     node_limit = cfg.node_limit
     nodes = 0
@@ -270,7 +297,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         return due, must
 
     def late(due: list[tuple[int, int]], c: int) -> bool:
-        """Whether placing the free column c next breaks Hall's condition.
+        """Whether placing the untouched column c next breaks Hall's condition.
 
         Every active row loses a slot and keeps its columns, and only the
         rows of c start, at a static slack; slacks here are the child's plus
@@ -284,14 +311,28 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
                 return True
         return False
 
+    def dead_key(state: _State) -> tuple[int, int, int, int]:
+        """What the state's subtree depends on, as a key of the exhausted-state table.
+
+        `touched`, `active` and `placed` follow from the unplaced mask, and
+        `allowed` from the gap fields of the active rows.  An inactive row
+        has either placed no column, so its fields are still at their start
+        values, or every column, so its fields are never read again.
+        """
+        unplaced, _, _, active, gap, blocks, gaps, _ = state
+        live = active * ones
+        return unplaced, gap, blocks & live, gaps & live
+
     full = (1 << n_cols) - 1
     to_place = sum((top - len(row)) << (width * ri) for ri, row in enumerate(work_rows))
     root: _State = (full, 0, full, 0, 0, lows * (top - k_eff), no_gap, to_place)
-    # Each frame ends with the column that made it (0 at the root).
-    stack = [[root, *columns(root), [], -1, 0]]
+    # Each frame ends with the column that made it (0 at the root) and its table key.
+    stack = [[root, *columns(root), [], -1, 0, dead_key(root)]]
+    dead: set[tuple[int, int, int, int]] = set()
+    table_cap = max(1, TABLE_FIELDS // len(work_rows))
     while stack:
         frame = stack[-1]
-        state, listed, rest, fits, due, must, _ = frame
+        state, listed, rest, fits, due, must, _, _ = frame
         if listed:
             c = listed.pop()
         elif rest:
@@ -299,34 +340,41 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             frame[2] = rest ^ low
             c = low.bit_length()
         else:
-            stack.pop()
+            # Every candidate of the frame is judged, so its state is dead.
+            if len(dead) >= table_cap:
+                dead.clear()
+            dead.add(stack.pop()[7])
             continue
-        nodes += 1
-        if (node_limit is not None and nodes > node_limit) or (
-            deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline
+        # A candidate counts once it is judged, so a limit of N reports N.
+        if (node_limit is not None and nodes >= node_limit) or (
+            deadline is not None and nodes and nodes % 1024 == 0 and time.monotonic() > deadline
         ):
             return SolveOutcome(TIMED_OUT, None, SearchStats(nodes, time.monotonic() - t0, prunes))
+        nodes += 1
         bit = 1 << c >> 1
         if not bit & fits:
             prunes["blocks"] += 1
         elif finite and (not bit & must or not bit & state[1] and late(due, c)):
-            # Outside the smallest tight union, or a free column that
+            # Outside the smallest tight union, or an untouched column that
             # starts rows with too little slack.
             prunes["deadline"] += 1
         elif not (child := place(state, c))[0]:
             break
         elif not child[2]:
             prunes["forced"] += 1
+        elif dead and (key := dead_key(child)) in dead:
+            # Dead under another prefix; it passed Hall's condition then.
+            prunes["seen"] += 1
         elif (checked := hall(child) if finite else ([], -1)) is None:
             prunes["deadline"] += 1
         else:
-            stack.append([child, *columns(child), *checked, c])
+            stack.append([child, *columns(child), *checked, c, key if dead else dead_key(child)])
     else:
         return SolveOutcome(EXHAUSTED, None, SearchStats(nodes, time.monotonic() - t0, prunes))
     stats = SearchStats(nodes, time.monotonic() - t0, prunes)
     # The frames above the root hold the placed prefix; c completes it.
     placed = [f[6] for f in stack[1:]] + [c]
-    witness = ColumnOrdering(tuple(order[p - 1] for p in placed))
+    witness = ColumnOrdering(tuple(order[p - 1] for p in placed) + tuple(free))
     if not check_ordering(matrix, witness, spec).ok:
         raise RuntimeError("internal error: search produced an invalid witness")
     return SolveOutcome(SATISFIED, witness, stats)

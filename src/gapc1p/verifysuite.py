@@ -221,8 +221,20 @@ def theorem2_stretch() -> str:
     assert rep.outcome.status == EXHAUSTED
     stats = rep.outcome.stats
     assert stats.nodes_expanded == 18, stats
-    assert stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 18}, stats
+    assert stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 18, "seen": 0}, stats
     return f"19-column companion exhausted in {stats.nodes_expanded} nodes"
+
+
+def theorem2_seen_states() -> str:
+    # The (3,2) companion reaches many states under more than one prefix;
+    # the exhausted-state table skips each repeat (413,306 nodes without it).
+    rep = verify_reduction(Cnf(1, ((1, 1, 1), (-1, -1, -1))), GapSpec(3, 2))
+    assert rep.agree and not rep.formula_satisfiable, f"{rep}"
+    assert rep.outcome.status == EXHAUSTED
+    stats = rep.outcome.stats
+    assert stats.nodes_expanded == 153_829 and stats.prunes["seen"] > 0, stats
+    return (f"19-column (3,2) companion exhausted in {stats.nodes_expanded} nodes, "
+            f"{stats.prunes['seen']} of them seen states")
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +255,8 @@ CASES: tuple[tuple[str, str, str, float, Callable[[], str]], ...] = (
      theorem2_satisfiable),
     ("C7S", "reduction", "gapped reduction, unsatisfiable companion (stretch)", 3600.0,
      theorem2_stretch),
+    ("C11", "reduction", "gapped reduction at (3,2), companion exhausted with seen states", 60.0,
+     theorem2_seen_states),
 )
 
 

@@ -93,7 +93,7 @@ def test_reduction_suite_runs_from_an_installed_copy(tmp_path):
         timeout=120,
     )
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "4 cases: 4 passed, 0 failed" in run.stdout
+    assert "5 cases: 5 passed, 0 failed" in run.stdout
 
 
 def test_public_names_are_pinned():

@@ -61,10 +61,16 @@ class TestSolve:
     def test_triple_satisfiable_with_gap(self, triple):
         assert main(["solve", "--matrix", str(triple), "--k", "2", "--delta", "1"]) == 0
 
-    def test_node_limit_gives_undecided_exit(self, all_pairs):
+    def test_node_limit_gives_undecided_exit(self, all_pairs, capsys):
         code = main(["solve", "--matrix", str(all_pairs), "--k", "2", "--delta", "1",
                      "--nodes", "1"])
         assert code == 2
+        # A limit of N reports the N nodes judged.
+        capsys.readouterr()
+        code = main(["solve", "--matrix", str(all_pairs), "--k", "2", "--delta", "1",
+                     "--nodes", "0", "--json"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["stats"]["nodes_expanded"] == 0
 
     def test_exit_codes_distinguish_exhausted_from_undecided(self, all_pairs):
         exhausted = main(["solve", "--matrix", str(all_pairs), "--k", "2", "--delta", "1"])
@@ -75,22 +81,22 @@ class TestSolve:
     def test_stats_line_counts_prunes_by_rule(self, tmp_path, capsys):
         # Every rule fires on this 8-column matrix at (3,1).
         path = tmp_path / "m.txt"
-        path.write_text("5 8\n1 5 6 7\n3 7 8\n1 5 8\n4 6 8\n2 4 8\n")
+        path.write_text("4 8\n1 4 8\n3 6 7 8\n2 3 4 5\n2 3\n")
         argv = ["solve", "--matrix", str(path), "--k", "3", "--delta", "1"]
         assert main(argv) == 0
         line = capsys.readouterr().err.strip()
-        assert line.startswith("status=satisfied nodes=17 ")
-        assert line.endswith(" prunes=blocks:1,forced:1,deadline:1,symmetry:2")
+        assert line.startswith("status=satisfied nodes=30 ")
+        assert line.endswith(" prunes=blocks:1,forced:2,deadline:2,symmetry:1,seen:2")
         assert main([*argv, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)["stats"]
-        assert stats["prunes"] == {"blocks": 1, "forced": 1, "deadline": 1, "symmetry": 2}
+        assert stats["prunes"] == {"blocks": 1, "forced": 2, "deadline": 2, "symmetry": 1, "seen": 2}
 
     def test_classical_json_counts_every_rule_as_zero(self, triple, capsys):
         assert main(["solve", "--matrix", str(triple), "--k", "1", "--delta", "0", "--json"]) == 1
         stats = json.loads(capsys.readouterr().out)["stats"]
         assert stats["nodes_expanded"] == 0
         assert list(stats["prunes"].items()) == [
-            ("blocks", 0), ("forced", 0), ("deadline", 0), ("symmetry", 0)]
+            ("blocks", 0), ("forced", 0), ("deadline", 0), ("symmetry", 0), ("seen", 0)]
 
     def test_deep_path_is_satisfied(self, tmp_path):
         # 1,200 columns is deeper than Python's recursion limit.
@@ -333,7 +339,7 @@ class TestVerify:
         assert main(["verify", "--suite", "reduction", "--no-stretch"]) == 3
         assert main(["verify", "--suite", "reduction", "--json"]) == 0
         cases = json.loads(capsys.readouterr().out)["cases"]
-        assert [c["id"] for c in cases] == ["C6", "C10", "C7", "C7S"]
+        assert [c["id"] for c in cases] == ["C6", "C10", "C7", "C7S", "C11"]
         assert cases[3]["status"] == "pass" and "18 nodes" in cases[3]["detail"]
 
     def test_suites_run_the_case_table_in_order(self, monkeypatch):
@@ -343,10 +349,10 @@ class TestVerify:
         monkeypatch.setattr(verifysuite, "CASES", instant)
         ids = {suite: [r.case_id for r in run_suite(suite)] for suite in SUITES}
         assert ids == {
-            "all": ["C1", "C2", "C3", "C4", "C5", "C9", "C6", "C10", "C7", "C7S"],
+            "all": ["C1", "C2", "C3", "C4", "C5", "C9", "C6", "C10", "C7", "C7S", "C11"],
             "gadget": ["C1", "C2", "C3"],
             "solver": ["C4", "C5", "C9"],
-            "reduction": ["C6", "C10", "C7", "C7S"],
+            "reduction": ["C6", "C10", "C7", "C7S", "C11"],
         }
         with pytest.raises(ValueError, match="unknown suite 'bogus'"):
             run_suite("bogus")

@@ -42,3 +42,6 @@ def test_ci_workflow_runs_the_tier1_command():
         checks = [run for run in runs if run.startswith(step)]
         assert checks, f"CI runs no full-size {workload} correctness check"
         assert "r['correct'] is True and r['failed'] == 0" in checks[0]
+        if workload == "planted":
+            # The search must keep deciding 90% of the budgeted ops.
+            assert "r['metrics']['decided_share']['value'] >= 0.90" in checks[0]

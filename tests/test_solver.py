@@ -25,6 +25,7 @@ from gapc1p import (
 )
 from gapc1p.bitmatrix import valid_forward_maps
 from gapc1p.pqtree import consecutive_ordering
+from gapc1p import solver
 from gapc1p.solver import PRUNE_RULES, WITNESS_CAP, breadth_first_order
 from test_bitmatrix import random_matrix
 
@@ -67,9 +68,29 @@ def refute(k: int = 3) -> BinaryMatrix:
     return reduce_formula(Cnf(1, ((1, 1, 1), (-1, -1, -1))), GapSpec(k, 1)).matrix
 
 
-def companion_3_3() -> BinaryMatrix:
-    """The Theorem-2 (3,3) matrix of (x) and (not x): 21 columns, millions of nodes."""
-    return reduce_formula(Cnf(1, ((1, 1, 1), (-1, -1, -1))), GapSpec(3, 3)).matrix
+def companion(k: int, delta: int) -> BinaryMatrix:
+    """The matrix built from (x) and (not x) at (k,delta), delta >= 2: unsatisfiable.
+
+    At (3,3) it has 21 columns and takes more than a million nodes.
+    """
+    return reduce_formula(Cnf(1, ((1, 1, 1), (-1, -1, -1))), GapSpec(k, delta)).matrix
+
+
+def insert_free(m: BinaryMatrix, at: int, count: int) -> BinaryMatrix:
+    """m with count free columns at labels at..at+count-1; later labels move up."""
+    move = {c: c if c < at else c + count for c in range(1, m.num_columns + 1)}
+    return BinaryMatrix.from_rows(m.num_columns + count, [[move[c] for c in row] for row in m.rows])
+
+
+def covered_matrix(rng: random.Random, n: int) -> BinaryMatrix:
+    """Random rows of 2 to 4 ones, plus a 2-one row for each column they miss: no free column."""
+    rows = [rng.sample(range(1, n + 1), rng.randint(2, 4))
+            for _ in range(rng.randint(n // 2, 3 * n // 2))]
+    held = {c for row in rows for c in row}
+    for c in range(1, n + 1):
+        if c not in held:
+            rows.append([c, rng.choice([u for u in range(1, n + 1) if u != c])])
+    return BinaryMatrix.from_rows(n, rows)
 
 
 class TestDecide:
@@ -95,6 +116,15 @@ class TestDecide:
         assert out.status == TIMED_OUT
         assert out.witness is None
 
+    def test_node_limit_counts_only_judged_candidates(self):
+        # The unlimited search exhausts in 4 nodes; a limit of N judges and
+        # reports N candidates.
+        for limit in range(4):
+            out = decide(ALL_PAIRS_5, GapSpec(2, 1), SearchConfig(node_limit=limit))
+            assert (out.status, out.stats.nodes_expanded) == (TIMED_OUT, limit)
+        out = decide(ALL_PAIRS_5, GapSpec(2, 1), SearchConfig(node_limit=4))
+        assert (out.status, out.stats.nodes_expanded) == (EXHAUSTED, 4)
+
     def test_timed_out_never_confused_with_exhausted(self):
         out = decide(ALL_PAIRS_5, GapSpec(2, 1), SearchConfig(node_limit=1))
         full = decide(ALL_PAIRS_5, GapSpec(2, 1))
@@ -103,7 +133,7 @@ class TestDecide:
 
     def test_timeout_reports_timed_out_at_the_first_deadline_check(self):
         # The deadline is read every 1,024 nodes, so a zero timeout stops there.
-        out = decide(companion_3_3(), GapSpec(3, 3), SearchConfig(timeout_seconds=0))
+        out = decide(companion(3, 3), GapSpec(3, 3), SearchConfig(timeout_seconds=0))
         assert out.status == TIMED_OUT
         assert out.witness is None
         assert out.stats.nodes_expanded == 1024
@@ -130,11 +160,11 @@ class TestDecide:
         out = decide(refute(3), GapSpec(3, 1))
         assert out.status == EXHAUSTED
         assert out.stats.nodes_expanded == 175
-        assert out.stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 162}
+        assert out.stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 162, "seen": 0}
         out = decide(refute(8), GapSpec(8, 1))
         assert out.status == EXHAUSTED
         assert out.stats.nodes_expanded == 485
-        assert out.stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 457}
+        assert out.stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 457, "seen": 0}
         assert out.stats.prunes["forced"] + out.stats.prunes["deadline"] == 107 + 350
         full = decide(ALL_PAIRS_5, GapSpec(2, 1))
         assert full.status == EXHAUSTED
@@ -144,10 +174,9 @@ class TestDecide:
         for k, nodes in zip(range(3, 9), (175, 250, 365, 405, 445, 485)):
             out = decide(refute(k), GapSpec(k, 1))
             assert (out.status, out.stats.nodes_expanded) == (EXHAUSTED, nodes)
-        companion = reduce_formula(Cnf(1, ((1, 1, 1), (-1, -1, -1))), GapSpec(2, 3)).matrix
-        out = decide(companion, GapSpec(2, 3))
+        out = decide(companion(2, 3), GapSpec(2, 3))
         assert (out.status, out.stats.nodes_expanded) == (EXHAUSTED, 1310)
-        assert out.stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 1236}
+        assert out.stats.prunes == {"blocks": 0, "forced": 0, "symmetry": 0, "deadline": 1236, "seen": 0}
 
     def test_witness_is_in_the_callers_labels(self):
         # Isolated columns (1, 4, 6), an empty row, one-one rows, a duplicate
@@ -184,11 +213,9 @@ class TestDecide:
             prunes.update(out.stats.prunes)
             nodes += out.stats.nodes_expanded
         assert statuses == {SATISFIED: 262, EXHAUSTED: 36, TIMED_OUT: 2}
-        assert nodes == 233_146
-        assert prunes == {"blocks": 192_684, "forced": 535, "symmetry": 38, "deadline": 2_108}
-        # Checking the deadline before the forced rule moves 350 children
-        # from forced to deadline and no other count.
-        assert prunes["forced"] + prunes["deadline"] == 885 + 1_758
+        assert nodes == 164_036
+        assert prunes == {"blocks": 130_772, "forced": 534, "symmetry": 38, "deadline": 1_992,
+                          "seen": 4_348}
 
     def test_deep_path_has_no_recursion_cliff(self):
         for n in (1200, 5000):
@@ -222,8 +249,57 @@ class TestDecide:
             witness = out.witness and out.witness.forward
             digest.update(repr((out.status, out.stats.nodes_expanded, witness)).encode())
             statuses[out.status] += 1
-        assert statuses == {SATISFIED: 53, TIMED_OUT: 7}
-        assert digest.hexdigest() == "48b8ee2ce7185c89f84f1e6041d3489f8f1172eee3286b5e5df23102650f0ead"
+        assert statuses == {SATISFIED: 56, TIMED_OUT: 4}
+        assert digest.hexdigest() == "54255dad6aa85beda14a8e42e824f4109d2bc2ba12a2b4141c0c3d8cd042f670"
+
+    def test_free_columns_are_left_out_of_the_search(self):
+        # Free columns among labels 2..n-1 change no count.  Free columns at
+        # the end make column n free, so the reversal pair is dropped.
+        m = companion(2, 3)
+        for at, nodes in ((2, 1310), (m.num_columns + 1, 7906)):
+            out = decide(insert_free(m, at, 4), GapSpec(2, 3))
+            assert (out.status, out.stats.nodes_expanded) == (EXHAUSTED, nodes)
+        # A witness places the free columns last, in label order.
+        m = BinaryMatrix.from_rows(6, [[2, 5], [5, 3], [3, 2]])
+        out = decide(m, GapSpec(2, 1))
+        assert out.witness.forward[3:] == (1, 4, 6)
+        assert check_ordering(m, out.witness, GapSpec(2, 1)).ok
+
+    def test_exhausted_state_table_keeps_statuses_and_first_witnesses(self):
+        # Seeded matrices with no free column, searched with no budget: the
+        # table cuts only exhausted subtrees, so every status and witness is
+        # the one the search gave before the table (digest recorded then).
+        specs = [GapSpec(2, 1), GapSpec(3, 1), GapSpec(2, 2), GapSpec(3, 2), GapSpec(2, 3),
+                 GapSpec(None, 1), GapSpec(2, None)]
+        rng = random.Random(43)
+        digest = hashlib.sha256()
+        statuses = Counter()
+        for i in range(140):
+            out = decide(covered_matrix(rng, rng.randint(8, 14)), specs[i % len(specs)])
+            digest.update(repr((out.status, out.witness and out.witness.forward)).encode())
+            statuses[out.status] += 1
+        assert statuses == {SATISFIED: 76, EXHAUSTED: 64}
+        assert digest.hexdigest() == "9a10ef2d66f862ed22c5552510a0e191a992ffb4229d86b4694adfdf55467147"
+
+    def test_exhausted_state_table_is_bounded(self, monkeypatch):
+        # A 1,000-entry table is cleared many times on the (3,2) companion.
+        # Forgetting only loses pruning: still exhausted, in at least the
+        # 153,829 nodes of the uncapped table.
+        m = companion(3, 2)
+        rows = len({row for row in m.rows if len(row) >= 2})
+        sizes = []
+
+        class Table(set):
+            def add(self, key):
+                super().add(key)
+                sizes.append(len(self))
+
+        monkeypatch.setattr(solver, "set", Table, raising=False)
+        monkeypatch.setattr(solver, "TABLE_FIELDS", 1000 * rows)
+        out = decide(m, GapSpec(3, 2))
+        assert out.status == EXHAUSTED
+        assert out.stats.nodes_expanded >= 153_829
+        assert max(sizes) == 1000
 
     def test_determinism(self):
         rng = random.Random(33)
@@ -528,3 +604,47 @@ def test_exhausted_search_does_not_depend_on_column_labels(m, spec, rng):
         assert a.status == b.status
         assert a.stats.nodes_expanded == b.stats.nodes_expanded
         assert a.stats.prunes == b.stats.prunes
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(crowded_matrices(), st.sampled_from(GAPPED_SPECS),
+       st.sampled_from(["first", "last", "both"]), st.randoms(use_true_random=False))
+def test_exhausted_search_with_a_free_end_column_does_not_depend_on_labels(m, spec, ends, rng):
+    # Column 1, column n or both are free, so the search keeps no reversal
+    # pair and no column's label matters: relabel every column but 1 and n.
+    shift = ends != "last"
+    n = m.num_columns + shift + (ends != "first")
+    rows = [[c + shift for c in row] for row in m.rows]
+    label = list(range(n + 1))
+    middle = label[2:n]
+    rng.shuffle(middle)
+    label[2:n] = middle
+    padded = BinaryMatrix.from_rows(n, rows)
+    relabelled = BinaryMatrix.from_rows(n, [[label[c] for c in row] for row in rows])
+    config = SearchConfig(node_limit=20_000)
+    a, b = decide(padded, spec, config), decide(relabelled, spec, config)
+    if EXHAUSTED in (a.status, b.status):
+        assert a.status == b.status
+        assert a.stats.nodes_expanded == b.stats.nodes_expanded
+        assert a.stats.prunes == b.stats.prunes
+    for matrix, out in ((padded, a), (relabelled, b)):
+        if out.status == SATISFIED:
+            assert check_ordering(matrix, out.witness, spec).ok
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(crowded_matrices(), st.sampled_from(GAPPED_SPECS),
+       st.lists(st.integers(2, 9), min_size=1, max_size=3))
+def test_free_columns_among_the_middle_labels_change_no_search(m, spec, spots):
+    # Free columns inserted at labels 2..n-1 keep columns 1 and n and the
+    # other columns' order, so the search, its counts and status are the same.
+    padded = m
+    for at in spots:
+        if 2 <= at <= padded.num_columns:
+            padded = insert_free(padded, at, 1)
+    a, b = decide(m, spec), decide(padded, spec)
+    assert a.status == b.status
+    assert a.stats.nodes_expanded == b.stats.nodes_expanded
+    assert a.stats.prunes == b.stats.prunes
+    if b.status == SATISFIED:
+        assert check_ordering(padded, b.witness, spec).ok
