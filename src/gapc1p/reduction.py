@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .bitmatrix import (
-    BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, first_violating_row, strict_int,
+    BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, strict_int,
 )
 from .gadget import build_gadget
 from .solver import SATISFIED, SolveOutcome, decide
@@ -368,8 +368,10 @@ def witness_from_assignment(
 
     Layout: variable blocks in index order, each oriented by its truth value
     (true puts the odd column first), the separator in gadget order, then
-    clause blocks in index order, each internally arranged by exhaustive
-    search over its few permutations.
+    clause blocks in index order, each laid out by the rule in REPAIRS.md R9:
+    the head column ``block[0]`` sits beside the target ``block[i]`` of each
+    falsified i-th literal.  In the gapped family the head has one neighbour,
+    so a clause with two falsified literals raises ``ConstructionError``.
     """
     cnf = output.cnf
     params = output.params
@@ -385,26 +387,19 @@ def witness_from_assignment(
         else:
             forward.extend((2 * i, 2 * i - 1))
     forward.extend(output.separator_column(t) for t in range(1, params.d + 1))
-    # Columns start in layout order.  Clause block j then takes the first
-    # arrangement under which every row through its literal rows is valid,
-    # with the later blocks still in layout order, and keeps it.
-    rows = output.matrix.rows
-    position = [0] * (output.matrix.num_columns + 1)
-    layout = forward + [c for block in output.clause_blocks for c in block]
-    for pos, c in enumerate(layout, start=1):
-        position[c] = pos
-    for j, block in enumerate(output.clause_blocks, start=1):
-        head = rows[:output.first_literal_row + 3 * j]
-        for perm in itertools.permutations(block):
-            for pos, c in enumerate(perm, start=len(forward) + 1):
-                position[c] = pos
-            if first_violating_row(head, position, params.k, params.delta) < 0:
-                break
-        else:
+    for j, (block, clause) in enumerate(zip(output.clause_blocks, cnf.clauses), start=1):
+        targets = block[1:4]
+        falsified = [c for c, lit in zip(targets, clause) if assignment[abs(lit)] != (lit > 0)]
+        ranked = falsified + [c for c in targets if c not in falsified]
+        if params.delta == 1:
+            left, right = sorted(ranked[:2])
+            forward.extend((left, block[0], right, ranked[2]))
+        elif len(falsified) > 1:
             raise ConstructionError(
                 f"no internal arrangement of clause block {j} satisfies its rows"
             )
-        forward.extend(perm)
+        else:
+            forward.extend((block[0], *ranked, block[4]))
     ordering = ColumnOrdering(tuple(forward))
     if not check_ordering(output.matrix, ordering, GapSpec(params.k, params.delta)).ok:
         raise ConstructionError("assembled witness fails the full matrix check")
@@ -414,13 +409,12 @@ def witness_from_assignment(
 def verify_reduction(cnf: Cnf, spec: GapSpec) -> EquivalenceReport:
     """Check formula satisfiability against the generated matrix's decision.
 
-    The instance is ``reduce_formula(cnf, spec)``.
-    Runs the exhaustive SAT oracle on one side and the complete ordering
-    search on the other; for satisfiable formulas the explicit witness
-    construction is validated end to end.
+    The instance is ``reduce_formula(cnf, spec)``.  The exhaustive SAT
+    oracle runs first, so a formula over ``VAR_CAP`` is refused before any
+    search; for satisfiable formulas the explicit witness construction is
+    validated end to end.  The complete ordering search runs last.
     """
     output = reduce_formula(cnf, spec)
-    outcome = decide(output.matrix, spec)
     # Some satisfying assignments may not admit the canonical layout (the
     # gapped family tolerates at most one falsified occurrence per clause),
     # so search them all; only a formula with no witness-admitting
@@ -437,5 +431,6 @@ def verify_reduction(cnf: Cnf, spec: GapSpec) -> EquivalenceReport:
             witness_error = exc
     if witness_error is not None:
         raise witness_error
+    outcome = decide(output.matrix, spec)
     agree = formula_satisfiable == (outcome.status == SATISFIED)
     return EquivalenceReport(formula_satisfiable, agree, outcome)

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering
 from .gadget import build_gadget, gadget_row_count, verify_rigidity
-from .reduction import Cnf, reduce_formula, satisfying_assignments, verify_reduction
+from .reduction import Cnf, verify_reduction
 from .solver import EXHAUSTED, SATISFIED, brute_force, classic_c1p, decide
 
 CORPUS_SEED = 212121
@@ -188,7 +188,6 @@ def theorem3_random_known_answers() -> str:
     # 20-104 columns, above the enumeration cap: the answer comes from the
     # SAT oracle, which shares no code with the search.
     rng = random.Random(FORMULA_SEED)
-    spec = GapSpec(3, 1)
     unsatisfiable = most = 0
     for _ in range(50):
         n = rng.randint(3, 5)
@@ -196,15 +195,10 @@ def theorem3_random_known_answers() -> str:
             tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
             for _ in range(rng.randint(2, 4 * n + 2))
         ))
-        matrix = reduce_formula(cnf, spec).matrix
-        satisfiable = next(satisfying_assignments(cnf), None) is not None
-        expected = SATISFIED if satisfiable else EXHAUSTED
-        outcome = decide(matrix, spec)
-        assert outcome.status == expected, f"{cnf}: {outcome.status}, the SAT oracle says {expected}"
-        if satisfiable:
-            assert check_ordering(matrix, outcome.witness, spec).ok, f"unsound witness on {cnf}"
-        unsatisfiable += not satisfiable
-        most = max(most, outcome.stats.nodes_expanded)
+        rep = verify_reduction(cnf, GapSpec(3, 1))
+        assert rep.agree, f"{cnf}: {rep.outcome.status}, satisfiable {rep.formula_satisfiable}"
+        unsatisfiable += not rep.formula_satisfiable
+        most = max(most, rep.outcome.stats.nodes_expanded)
     assert unsatisfiable == 3, f"{unsatisfiable} of 50 formulas unsatisfiable, expected 3"
     return f"50 random 3-CNF formulas (3 unsatisfiable) agree with the SAT oracle; at most {most} nodes"
 

@@ -5,6 +5,7 @@ Each criterion prints a single pass/fail line.  All but C8 are the rows of
 all`), with their elapsed time; budgets are enforced by ``run_case``.
 """
 
+import json
 import os
 import re
 import subprocess
@@ -88,12 +89,15 @@ def test_reduction_suite_runs_from_an_installed_copy(tmp_path):
     for source in package.glob("*.py"):
         (site / "gapc1p" / source.name).write_text(source.read_text())
     run = subprocess.run(
-        [sys.executable, "-m", "gapc1p.cli", "verify", "--suite", "reduction"],
+        [sys.executable, "-m", "gapc1p.cli", "verify", "--suite", "reduction", "--json"],
         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(site)}, capture_output=True, text=True,
         timeout=120,
     )
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "5 cases: 5 passed, 0 failed" in run.stdout
+    cases = json.loads(run.stdout)["cases"]
+    assert [c["id"] for c in cases] == ["C6", "C10", "C7", "C7S", "C11"]
+    assert all(c["status"] == "pass" for c in cases), cases
+    assert "18 nodes" in cases[3]["detail"]
 
 
 def test_public_names_are_pinned():

@@ -335,12 +335,10 @@ class TestVerify:
         assert [c["id"] for c in payload["cases"]] == ["C1", "C2", "C3"]
         assert all(c["status"] == "pass" for c in payload["cases"])
 
-    def test_stretch_case_always_runs(self, capsys):
+    def test_stretch_case_always_runs(self):
+        # There is no option to skip C7S; the installed-copy run in
+        # test_acceptance.py checks that the reduction suite runs it.
         assert main(["verify", "--suite", "reduction", "--no-stretch"]) == 3
-        assert main(["verify", "--suite", "reduction", "--json"]) == 0
-        cases = json.loads(capsys.readouterr().out)["cases"]
-        assert [c["id"] for c in cases] == ["C6", "C10", "C7", "C7S", "C11"]
-        assert cases[3]["status"] == "pass" and "18 nodes" in cases[3]["detail"]
 
     def test_suites_run_the_case_table_in_order(self, monkeypatch):
         # The table's ids and suites with instant checks: only the order is tested.

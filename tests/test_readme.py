@@ -45,3 +45,12 @@ def test_ci_workflow_runs_the_tier1_command():
         if workload == "planted":
             # The search must keep deciding 90% of the budgeted ops.
             assert "r['metrics']['decided_share']['value'] >= 0.90" in checks[0]
+    # The full-size oracle run also reads its meta line and pins the R9
+    # boundary: 7 of the 20 gapped-family witness probes build, 13 refuse.
+    step = "run: python3 perfbench/run.py --workload oracle --seed 1 --seconds 5 --trace 0 | tail -n 2 | "
+    checks = [run for run in runs if run.startswith(step)]
+    assert checks, "CI runs no full-size oracle correctness check"
+    for clause in ("r['correct'] is True and r['failed'] == 0", "len(p) == 20",
+                   "sum(x['outcome'] == 'ok' for x in p) == 7",
+                   "x['cause'].startswith('ConstructionError') for x in p) == 13"):
+        assert clause in checks[0], clause

@@ -10,6 +10,7 @@ from gapc1p import (
     SATISFIED,
     Cnf,
     ColumnOrdering,
+    ConstructionError,
     DimacsFormatError,
     GapSpec,
     build_gadget,
@@ -23,6 +24,7 @@ from gapc1p import (
     witness_from_assignment,
     decide,
 )
+from gapc1p import reduction
 from gapc1p.reduction import (
     ROLE_CLAUSE, ROLE_SEPARATOR, ROLE_VARIABLE, formula_value, reduce_theorem2, reduce_theorem3,
 )
@@ -106,6 +108,30 @@ def sweep_digest():
                 digest.update(repr((legend, out.params, out.clause_blocks,
                                     out.first_literal_row, out.cnf)).encode())
     return digest.hexdigest()
+
+# sha256 of witness_from_assignment over the sweep below: each forward map or
+# ConstructionError message.  It was computed with the per-block permutation
+# search that the layout rule replaced, so it pins the rule to the
+# arrangements that search found.
+WITNESS_DIGEST = "8e887f7d7c1e621d2e1a278d9652123189d9ec67e42b4bd54ea6690422c81218"
+WITNESS_SPECS = ((3, 1), (5, 1), (2, 2), (3, 2), (2, 4))
+
+
+def witness_formulas():
+    """24 seeded formulas of 1-3 clauses over 1-3 variables, 1-5 literals each."""
+    rng = random.Random(4242)
+    for _ in range(24):
+        n = rng.randint(1, 3)
+        yield Cnf(n, tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 5)))
+            for _ in range(rng.randint(1, 3))
+        ))
+
+
+def most_falsified(cnf, assignment):
+    """The largest number of falsified literals in one clause of ``cnf``."""
+    return max(sum(assignment[abs(lit)] != (lit > 0) for lit in clause) for clause in cnf.clauses)
+
 
 class TestDimacs:
     def test_single_repeated_literal(self):
@@ -340,6 +366,28 @@ class TestWitness:
         witness = witness_from_assignment(out, {1: False})
         assert check_ordering(out.matrix, witness, GapSpec(2, 2)).ok
 
+    def test_witnesses_match_the_pinned_digest(self):
+        # Up to three seeded satisfying assignments per instance.  The gapped
+        # family refuses exactly when a clause has two falsified literals
+        # (REPAIRS.md R9); the block-count family never refuses.
+        rng = random.Random(99)
+        digest = hashlib.sha256()
+        for cnf in witness_formulas():
+            for k, delta in WITNESS_SPECS:
+                out = reduce_formula(cnf, GapSpec(k, delta))
+                assignments = list(satisfying_assignments(out.cnf))
+                for assignment in rng.sample(assignments, min(3, len(assignments))):
+                    two_falsified = most_falsified(out.cnf, assignment) >= 2
+                    try:
+                        witness = witness_from_assignment(out, assignment)
+                    except ConstructionError as exc:
+                        assert delta >= 2 and two_falsified, (cnf, k, delta, assignment)
+                        digest.update(f"{exc}\n".encode())
+                    else:
+                        assert delta == 1 or not two_falsified, (cnf, k, delta, assignment)
+                        digest.update(repr(witness.forward).encode())
+        assert digest.hexdigest() == WITNESS_DIGEST
+
     def test_negative_literal_orientation_penalty(self):
         # With the satisfying orientation flipped, some clause row must break.
         out = reduce_formula(cnf_over(1, (1, 1, 1)), GapSpec(3, 1))
@@ -435,6 +483,15 @@ class TestEquivalence:
     def test_theorem2_k3_mixed_clause(self):
         rep = verify_reduction(cnf_over(1, (1, 1, -1)), GapSpec(3, 2))
         assert rep.agree and rep.formula_satisfiable
+
+    def test_formula_over_the_cap_is_refused_before_the_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("decide ran before the SAT oracle")
+
+        monkeypatch.setattr(reduction, "decide", no_search)
+        cnf = Cnf(21, tuple((v, -(v % 21 + 1), v) for v in range(1, 22)))
+        with pytest.raises(ValueError, match="21 variables exceeds the cap of 20"):
+            verify_reduction(cnf, GapSpec(2, 3))
 
     def test_r9_sweep_of_small_formulas(self):
         # Theorem 3 at k=3 agrees on all 216; Theorem 2 at (2,2) is sound for
