@@ -29,7 +29,10 @@ against a mask of the columns each frame may take, then two deadline tests,
 that the column lies in the parent's smallest tight union and that an
 untouched column does not start rows with too little slack.  The child is
 then built, and the forced rule (no column may come next), the exhausted-state
-table and Hall's condition on the child come last.
+table and Hall's condition on the child come last.  The untouched candidates
+that precede, in rank order, the first one passing both parent masks are
+counted as one run, with the same nodes and prunes as one by one; a run that
+a node limit or a deadline check would fall inside goes one at a time.
 
 A state, without its prefix, determines its whole subtree, and a frame is
 popped only once every candidate under it has failed.  So each popped state
@@ -186,10 +189,11 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     fresh: list[list[tuple[int, int]]] = [[] for _ in range(n_cols + 1)]
     for ri, row in enumerate(work_rows):
         rem = len(row) - 1
+        low, mask, start = 1 << (width * ri), masks[ri], rem + min(k_eff - 1, rem) * d_eff + 1
         for c in row:
-            col_rows[c] |= 1 << (width * ri)
-            near[c] |= masks[ri]
-            fresh[c].append((rem + min(k_eff - 1, rem) * d_eff + 1, masks[ri] ^ 1 << (c - 1)))
+            col_rows[c] |= low
+            near[c] |= mask
+            fresh[c].append((start, mask ^ 1 << (c - 1)))
     col_ops = [(1 << c >> 1, rows, near[c], ~(rows * ones), rows * (top - d_eff))
                for c, rows in enumerate(col_rows)]
     # Row masks keyed by the top bit of the row's field.
@@ -336,6 +340,21 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         if listed:
             c = listed.pop()
         elif rest:
+            # The untouched columns below the lowest that passes both parent
+            # masks all fail one, so they are judged as one run unless a
+            # limit or deadline check falls inside it.
+            good = rest & fits & must
+            run = rest & ((good & -good) - 1)
+            size = run.bit_count()
+            if size and (node_limit is None or nodes + size <= node_limit) and (
+                deadline is None or (nodes - 1) // 1024 == (nodes + size - 1) // 1024
+            ):
+                nodes += size
+                frame[2] = rest ^ run
+                blocked = (run & ~fits).bit_count()
+                prunes["blocks"] += blocked
+                prunes["deadline"] += size - blocked
+                continue
             low = rest & -rest
             frame[2] = rest ^ low
             c = low.bit_length()

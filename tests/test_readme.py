@@ -43,8 +43,8 @@ def test_ci_workflow_runs_the_tier1_command():
         assert checks, f"CI runs no full-size {workload} correctness check"
         assert "r['correct'] is True and r['failed'] == 0" in checks[0]
         if workload == "planted":
-            # The search must keep deciding 90% of the budgeted ops.
-            assert "r['metrics']['decided_share']['value'] >= 0.90" in checks[0]
+            # The search must keep deciding exactly the same budgeted ops.
+            assert "r['metrics']['decided_share']['value'] == 174 / 192" in checks[0]
     # The full-size oracle run also reads its meta line and pins the R9
     # boundary: 7 of the 20 gapped-family witness probes build, 13 refuse.
     step = "run: python3 perfbench/run.py --workload oracle --seed 1 --seconds 5 --trace 0 | tail -n 2 | "

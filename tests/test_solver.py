@@ -125,6 +125,20 @@ class TestDecide:
         out = decide(ALL_PAIRS_5, GapSpec(2, 1), SearchConfig(node_limit=4))
         assert (out.status, out.stats.nodes_expanded) == (EXHAUSTED, 4)
 
+    def test_node_limit_inside_a_run_of_rejected_candidates(self):
+        # A mask-heavy 200-column search, where most candidates are untouched
+        # columns that fail the parent's masks and are counted as a run: every
+        # limit stops at exactly that many judged candidates, and one more
+        # candidate adds at most one prune, under one rule.
+        m = planted_matrix(random.Random(40), 200, 2, 2)
+        before = dict.fromkeys(PRUNE_RULES, 0)
+        for limit in range(1, 601):
+            out = decide(m, GapSpec(2, 2), SearchConfig(node_limit=limit))
+            assert (out.status, out.stats.nodes_expanded) == (TIMED_OUT, limit)
+            assert sum(abs(out.stats.prunes[rule] - before[rule]) for rule in PRUNE_RULES) <= 1
+            before = out.stats.prunes
+        assert before["blocks"] + before["deadline"] == 582
+
     def test_timed_out_never_confused_with_exhausted(self):
         out = decide(ALL_PAIRS_5, GapSpec(2, 1), SearchConfig(node_limit=1))
         full = decide(ALL_PAIRS_5, GapSpec(2, 1))
@@ -137,6 +151,11 @@ class TestDecide:
         assert out.status == TIMED_OUT
         assert out.witness is None
         assert out.stats.nodes_expanded == 1024
+        # Here a run of rejected candidates spans node 1,024, so the check
+        # must fall inside it.
+        m = planted_matrix(random.Random(40), 200, 2, 2)
+        out = decide(m, GapSpec(2, 2), SearchConfig(timeout_seconds=0))
+        assert (out.status, out.stats.nodes_expanded) == (TIMED_OUT, 1024)
 
     def test_every_path_counts_every_prune_rule(self):
         # Classical, no work rows, timed out, exhausted and satisfied.
@@ -251,6 +270,24 @@ class TestDecide:
             statuses[out.status] += 1
         assert statuses == {SATISFIED: 56, TIMED_OUT: 4}
         assert digest.hexdigest() == "54255dad6aa85beda14a8e42e824f4109d2bc2ba12a2b4141c0c3d8cd042f670"
+
+    def test_budgeted_search_counts_are_pinned_up_to_two_hundred_columns(self):
+        # 90 planted-satisfiable matrices of 20, 80 and 200 columns under a
+        # 5,000-node budget: a digest of every status, node count, prune count
+        # and witness (recorded before untouched candidates were judged in
+        # runs), so any change to what is counted where shows.
+        rng = random.Random(47)
+        digest = hashlib.sha256()
+        statuses = Counter()
+        for i in range(90):
+            k, delta = ((2, 1), (3, 1), (2, 2))[i % 3]
+            m = planted_matrix(rng, (20, 80, 200)[i // 3 % 3], k, delta)
+            out = decide(m, GapSpec(k, delta), SearchConfig(node_limit=5000))
+            witness = out.witness and out.witness.forward
+            digest.update(repr((out.status, out.stats.nodes_expanded, out.stats.prunes, witness)).encode())
+            statuses[out.status] += 1
+        assert statuses == {SATISFIED: 78, TIMED_OUT: 12}
+        assert digest.hexdigest() == "f705ae569bc976dfc7f14e97b366f06eec04ff3c1eb40f0c3ded7bd6b72d8e8c"
 
     def test_free_columns_are_left_out_of_the_search(self):
         # Free columns among labels 2..n-1 change no count.  Free columns at
