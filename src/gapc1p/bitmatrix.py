@@ -16,9 +16,7 @@ functions and safe to use from concurrent tasks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 TOO_MANY_BLOCKS = "too_many_blocks"
 GAP_TOO_LARGE = "gap_too_large"
@@ -39,25 +37,24 @@ class RowError(ValueError):
         self.row = row  # 1-based
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class BinaryMatrix(NamedTuple("BinaryMatrix", [("num_columns", int), ("rows", tuple)])):
     """A binary matrix as an ordered sequence of row supports.
 
     Duplicate rows and empty rows are legal; duplicates are preserved.
     """
 
-    num_columns: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.num_columns < 1:
+    def __new__(cls, num_columns: int, rows: tuple[tuple[int, ...], ...]) -> BinaryMatrix:
+        if num_columns < 1:
             raise ValueError("num_columns must be positive")
-        for i, row in enumerate(self.rows, start=1):
+        for i, row in enumerate(rows, start=1):
             for a, b in zip(row, row[1:]):
                 if a >= b:
                     raise RowError(i, "is not strictly increasing")
-            if row and (row[0] < 1 or row[-1] > self.num_columns):
-                raise RowError(i, f"has an index outside 1..{self.num_columns}")
+            if row and (row[0] < 1 or row[-1] > num_columns):
+                raise RowError(i, f"has an index outside 1..{num_columns}")
+        return super().__new__(cls, num_columns, rows)
 
     @property
     def num_rows(self) -> int:
@@ -69,18 +66,18 @@ class BinaryMatrix:
         return cls(num_columns, tuple(tuple(sorted(row)) for row in rows))
 
 
-@dataclass(frozen=True)
-class ColumnOrdering:
+class ColumnOrdering(NamedTuple("ColumnOrdering", [("forward", tuple)])):
     """A permutation of the columns: ``forward[p-1]`` is the column at position p."""
 
-    forward: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.forward)
-        if sorted(self.forward) != list(range(1, n + 1)):
+    def __new__(cls, forward: tuple[int, ...]) -> ColumnOrdering:
+        n = len(forward)
+        if sorted(forward) != list(range(1, n + 1)):
             raise ValueError("forward map is not a permutation of 1..n")
+        return super().__new__(cls, forward)
 
-    @cached_property
+    @property
     def inverse(self) -> tuple[int, ...]:
         """``inverse[c-1]`` is the (1-based) position of column c."""
         inv = [0] * len(self.forward)
@@ -100,18 +97,17 @@ class ColumnOrdering:
         return ColumnOrdering(tuple(reversed(self.forward)))
 
 
-@dataclass(frozen=True)
-class GapSpec:
+class GapSpec(NamedTuple("GapSpec", [("k", int | None), ("delta", int | None)])):
     """The (k, delta) constraint pair; ``None`` means the bound is absent."""
 
-    k: int | None
-    delta: int | None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k is not None and self.k < 1:
+    def __new__(cls, k: int | None, delta: int | None) -> GapSpec:
+        if k is not None and k < 1:
             raise ValueError("finite k must be >= 1")
-        if self.delta is not None and self.delta < 0:
+        if delta is not None and delta < 0:
             raise ValueError("finite delta must be >= 0")
+        return super().__new__(cls, k, delta)
 
     @property
     def classical(self) -> bool:
@@ -131,16 +127,14 @@ class GapSpec:
         return f"({k},{d})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     row_index: int  # 1-based
     block_count: int
     gaps: tuple[int, ...]  # every gap of the row, left to right
     kind: str  # TOO_MANY_BLOCKS or GAP_TOO_LARGE
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     ok: bool
     first_violation: Violation | None = None
 

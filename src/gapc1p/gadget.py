@@ -13,14 +13,12 @@ at small scale, undersized gadgets included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, valid_forward_maps
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     rigid: bool
     valid_count: int
     counterexample: ColumnOrdering | None

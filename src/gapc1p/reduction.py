@@ -27,8 +27,7 @@ REPAIRS.md, and the generated instances are validated empirically by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .bitmatrix import (
     BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, strict_int,
@@ -55,33 +54,30 @@ class ConstructionError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class Cnf:
+class Cnf(NamedTuple("Cnf", [("num_vars", int), ("clauses", tuple)])):
     """A CNF formula; literals are DIMACS-style signed variable indices."""
 
-    num_vars: int
-    clauses: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 0:
-            raise ValueError(f"num_vars must be >= 0, got {self.num_vars}")
-        for i, clause in enumerate(self.clauses, start=1):
+    def __new__(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> Cnf:
+        if num_vars < 0:
+            raise ValueError(f"num_vars must be >= 0, got {num_vars}")
+        for i, clause in enumerate(clauses, start=1):
             if not clause:
                 raise ValueError(f"clause {i} is empty")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > num_vars:
                     raise ValueError(f"clause {i}: literal {lit} out of range")
+        return super().__new__(cls, num_vars, clauses)
 
 
-@dataclass(frozen=True)
-class ColumnRole:
+class ColumnRole(NamedTuple):
     kind: str  # ROLE_VARIABLE, ROLE_SEPARATOR, or ROLE_CLAUSE
     index: int  # variable index, separator position, or clause index
     slot: int | None = None  # slot within a variable (1..2) or clause block
 
 
-@dataclass(frozen=True)
-class ReductionParams:
+class ReductionParams(NamedTuple):
     theorem: int
     k: int
     delta: int
@@ -90,8 +86,7 @@ class ReductionParams:
     num_clauses: int
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(NamedTuple):
     """A generated instance and the layout it was built with.
 
     ``clause_blocks[j-1]`` holds the columns of clause j's block; the three
@@ -110,8 +105,7 @@ class ReductionOutput:
         return 2 * self.params.num_vars + t
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     formula_satisfiable: bool
     agree: bool
     outcome: SolveOutcome

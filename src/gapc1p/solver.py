@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, valid_forward_maps
 from .pqtree import consecutive_ordering
@@ -99,28 +99,24 @@ TABLE_FIELDS = 1 << 23
 _State = tuple[int, int, int, int, int, int, int, int]
 
 
-@dataclass
-class SearchStats:
-    nodes_expanded: int = 0
-    elapsed_seconds: float = 0.0
-    prunes: dict[str, int] = field(default_factory=dict)
+class SearchStats(NamedTuple):
+    nodes_expanded: int
+    elapsed_seconds: float
+    prunes: dict[str, int]
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     timeout_seconds: float | None = None
     node_limit: int | None = None
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     status: str
     witness: ColumnOrdering | None
     stats: SearchStats
 
 
-@dataclass(frozen=True)
-class ExhaustiveReport:
+class ExhaustiveReport(NamedTuple):
     valid_count: int
     witnesses: tuple[ColumnOrdering, ...]
 
@@ -402,9 +398,10 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
 def breadth_first_order(n_cols: int, rows: list[tuple[int, ...]]) -> list[int]:
     """Columns 1..n_cols in Cuthill-McKee order over the rows' incidence.
 
-    Each component starts at a far column: two sweeps, from its lowest column
-    and then from the last one reached.  A sweep appends each column's newly
-    reached columns by row count, then label, and visits each row once: O(ones).
+    Each component takes three sweeps: two find a far column (from its lowest
+    column, then from the last one reached), and the third, from it, is the
+    component's order.  A sweep appends each column's newly reached columns
+    by row count, then label, and visits each row once: O(ones).
     """
     col_rows: list[list[int]] = [[] for _ in range(n_cols + 1)]
     for ri, row in enumerate(rows):

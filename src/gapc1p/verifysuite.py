@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering
 from .gadget import build_gadget, gadget_row_count, verify_rigidity
@@ -27,8 +26,7 @@ FAIL = "fail"
 SUITES = ("gadget", "solver", "reduction", "all")
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     case_id: str
     name: str
     status: str

@@ -16,7 +16,7 @@ import pytest
 
 import gapc1p
 from gapc1p.reduction import DEVIATIONS
-from gapc1p.verifysuite import CASES, PASS, run_case
+from gapc1p.verifysuite import CASES, PASS, CaseResult, run_case
 
 ROOT = Path(__file__).resolve().parents[1]
 REPAIRS = ROOT / "REPAIRS.md"
@@ -115,3 +115,53 @@ def test_public_names_are_pinned():
     ]
     for name in gapc1p.__all__:
         assert hasattr(gapc1p, name), name
+
+
+def _value_instances():
+    """One instance of each public value type and of CaseResult, with a field name."""
+    matrix = gapc1p.BinaryMatrix(2, ((1, 2),))
+    ordering = gapc1p.ColumnOrdering((2, 1))
+    stats = gapc1p.SearchStats(0, 0.0, {})
+    outcome = gapc1p.SolveOutcome(gapc1p.SATISFIED, ordering, stats)
+    cnf = gapc1p.Cnf(1, ((1,),))
+    params = gapc1p.ReductionParams(2, 3, 1, 6, 1, 1)
+    return [
+        (matrix, "rows"),
+        (ordering, "forward"),
+        (gapc1p.GapSpec(2, 1), "k"),
+        (gapc1p.Violation(1, 3, (1, 1), gapc1p.TOO_MANY_BLOCKS), "kind"),
+        (gapc1p.CheckReport(True), "ok"),
+        (gapc1p.SearchConfig(), "node_limit"),
+        (stats, "nodes_expanded"),
+        (outcome, "status"),
+        (gapc1p.ExhaustiveReport(1, (ordering,)), "valid_count"),
+        (gapc1p.RigidityReport(True, 2, None), "rigid"),
+        (cnf, "clauses"),
+        (gapc1p.ColumnRole("variable", 1, 1), "slot"),
+        (params, "delta"),
+        (gapc1p.ReductionOutput(matrix, {}, cnf, params, (), 0), "matrix"),
+        (gapc1p.EquivalenceReport(True, True, outcome), "agree"),
+        (CaseResult("C0", "name", PASS, 0.0, "detail"), "status"),
+    ]
+
+
+_VALUES = _value_instances()
+
+
+@pytest.mark.parametrize("value, field", _VALUES, ids=[type(value).__name__ for value, _ in _VALUES])
+def test_value_types_refuse_assignment(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = None  # no instance dict either
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # The value types are named tuples; -I -S keeps site packages out, so only
+    # the package's own imports count.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gapc1p.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -45,12 +45,17 @@ def test_ci_workflow_runs_the_tier1_command():
         if workload == "planted":
             # The search must keep deciding exactly the same budgeted ops.
             assert "r['metrics']['decided_share']['value'] == 174 / 192" in checks[0]
-    # The full-size oracle run also reads its meta line and pins the R9
-    # boundary: 7 of the 20 gapped-family witness probes build, 13 refuse.
-    step = "run: python3 perfbench/run.py --workload oracle --seed 1 --seconds 5 --trace 0 | tail -n 2 | "
-    checks = [run for run in runs if run.startswith(step)]
-    assert checks, "CI runs no full-size oracle correctness check"
-    for clause in ("r['correct'] is True and r['failed'] == 0", "len(p) == 20",
-                   "sum(x['outcome'] == 'ok' for x in p) == 7",
-                   "x['cause'].startswith('ConstructionError') for x in p) == 13"):
-        assert clause in checks[0], clause
+    # The full-size c1p-scale and oracle runs also read their meta line: every
+    # c1p-scale probe passes, and the oracle probes pin the R9 boundary: 7 of
+    # the 20 gapped-family witness probes build, 13 refuse.
+    meta_clauses = {
+        "c1p-scale": ("p['outcome'] == 'ok'",),
+        "oracle": ("len(p) == 20", "sum(x['outcome'] == 'ok' for x in p) == 7",
+                   "x['cause'].startswith('ConstructionError') for x in p) == 13"),
+    }
+    for workload, clauses in meta_clauses.items():
+        step = f"run: python3 perfbench/run.py --workload {workload} --seed 1 --seconds 5 --trace 0 | tail -n 2 | "
+        checks = [run for run in runs if run.startswith(step)]
+        assert checks, f"CI runs no full-size {workload} correctness check"
+        for clause in ("r['correct'] is True and r['failed'] == 0",) + clauses:
+            assert clause in checks[0], (workload, clause)
