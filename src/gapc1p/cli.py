@@ -73,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--k", type=_bound, required=True)
     p_check.add_argument("--delta", type=_bound, required=True)
     p_check.add_argument("--json", action="store_true")
+    p_check.set_defaults(run=_cmd_check)
 
     p_solve = sub.add_parser("solve", help="decide (k,delta)-consecutiveness of a matrix")
     p_solve.add_argument("--matrix", required=True)
@@ -81,11 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--timeout", type=_seconds, default=None, metavar="SECS")
     p_solve.add_argument("--nodes", type=strict_int, default=None, metavar="N")
     p_solve.add_argument("--json", action="store_true")
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_gadget = sub.add_parser("gadget", help="emit the column-rigidity gadget over columns 1..n")
     p_gadget.add_argument("--n", type=strict_int, required=True)
     p_gadget.add_argument("--delta", type=strict_int, required=True)
     p_gadget.add_argument("-o", "--output", default=None)
+    p_gadget.set_defaults(run=_cmd_gadget)
 
     p_reduce = sub.add_parser("reduce", help="generate a hardness instance from a DIMACS CNF")
     p_reduce.add_argument("--cnf", required=True)
@@ -94,10 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--legend", default=None, metavar="PATH",
                           help="write a JSON column-role sidecar")
     p_reduce.add_argument("-o", "--output", default=None)
+    p_reduce.set_defaults(run=_cmd_reduce)
 
     p_verify = sub.add_parser("verify", help="run the oracle verification suites")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
     p_verify.add_argument("--json", action="store_true")
+    p_verify.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -120,11 +125,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _stats_json(stats: SearchStats) -> dict:
-    return {
-        "nodes_expanded": stats.nodes_expanded,
-        "elapsed_seconds": round(stats.elapsed_seconds, 6),
-        "prunes": stats.prunes,
-    }
+    return {**stats._asdict(), "elapsed_seconds": round(stats.elapsed_seconds, 6),
+            "prunes": dict(stats.prunes)}
 
 
 def _cmd_check(args) -> int:
@@ -156,10 +158,8 @@ def _outcome_exit(status: str) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.nodes is not None and args.nodes < 0:
-        raise _CliError("--nodes must be >= 0")
-    matrix = parse_matrix(_read(args.matrix))
     config = SearchConfig(timeout_seconds=args.timeout, node_limit=args.nodes)
+    matrix = parse_matrix(_read(args.matrix))
     outcome = decide(matrix, GapSpec(args.k, args.delta), config)
     if args.json:
         print(json.dumps({
@@ -192,14 +192,8 @@ def _cmd_reduce(args) -> int:
     output = reduce_formula(cnf, GapSpec(args.k, args.delta))
     _write(args.output, serialize_matrix(output.matrix))
     if args.legend is not None:
-        params = output.params
         legend = {
-            "theorem": params.theorem,
-            "k": params.k,
-            "delta": params.delta,
-            "d": params.d,
-            "num_vars": params.num_vars,
-            "num_clauses": params.num_clauses,
+            **output.params._asdict(),
             "num_columns": output.matrix.num_columns,
             "num_rows": output.matrix.num_rows,
             "columns": [
@@ -245,15 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "gadget":
-            return _cmd_gadget(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except (_CliError, ValueError, OSError) as exc:  # format errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

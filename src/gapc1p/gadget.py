@@ -75,8 +75,10 @@ def verify_rigidity(
     reversed, among the free columns are valid, so the gadget is rigid
     exactly when the count equals that; otherwise the counterexample is the
     first valid ordering, lexicographically, that is no such placement.  An
-    undersized n is checked all the same.  ``k < 2`` or a universe of more
-    than ``ENUMERATION_CAP`` columns is a ValueError.
+    undersized n is checked all the same.  Every gadget row has two ones, so
+    at most two blocks, and the count is the same for every ``k >= 2``.
+    ``k < 2`` or a universe of more than ``ENUMERATION_CAP`` columns is a
+    ValueError.
     """
     if n < 2 or k < 2:
         raise ValueError(f"rigidity needs n >= 2 and k >= 2, got n={n}, k={k}")

@@ -27,6 +27,7 @@ REPAIRS.md, and the generated instances are validated empirically by
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .bitmatrix import (
@@ -95,7 +96,7 @@ class ReductionOutput(NamedTuple):
     """
 
     matrix: BinaryMatrix
-    legend: dict[int, ColumnRole]
+    legend: Mapping[int, ColumnRole]
     cnf: Cnf
     params: ReductionParams
     clause_blocks: tuple[tuple[int, ...], ...]
@@ -239,7 +240,7 @@ def formula_value(cnf: Cnf, assignment: Mapping[int, bool]) -> bool:
 # Matrix generators.
 
 
-def _legend(n: int, d: int, blocks: Sequence[tuple[int, ...]]) -> dict[int, ColumnRole]:
+def _legend(n: int, d: int, blocks: Sequence[tuple[int, ...]]) -> Mapping[int, ColumnRole]:
     legend: dict[int, ColumnRole] = {}
     for i in range(1, n + 1):
         legend[2 * i - 1] = ColumnRole(ROLE_VARIABLE, i, 1)
@@ -249,7 +250,7 @@ def _legend(n: int, d: int, blocks: Sequence[tuple[int, ...]]) -> dict[int, Colu
     for j, block in enumerate(blocks, start=1):
         for s, c in enumerate(block, start=1):
             legend[c] = ColumnRole(ROLE_CLAUSE, j, s)
-    return legend
+    return MappingProxyType(legend)
 
 
 def _variable_row(i: int, n: int, k: int, sep: int) -> tuple[int, ...]:

@@ -63,7 +63,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import NamedTuple
+from math import inf
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, valid_forward_maps
 from .pqtree import consecutive_ordering
@@ -102,12 +104,21 @@ _State = tuple[int, int, int, int, int, int, int, int]
 class SearchStats(NamedTuple):
     nodes_expanded: int
     elapsed_seconds: float
-    prunes: dict[str, int]
+    prunes: Mapping[str, int]
 
 
-class SearchConfig(NamedTuple):
-    timeout_seconds: float | None = None
-    node_limit: int | None = None
+class SearchConfig(NamedTuple("SearchConfig", [("timeout_seconds", float | None),
+                                               ("node_limit", int | None)])):
+    """The search limits; ``None`` means the limit is absent."""
+
+    __slots__ = ()
+
+    def __new__(cls, timeout_seconds: float | None = None,
+                node_limit: int | None = None) -> SearchConfig:
+        for name, value in (("timeout_seconds", timeout_seconds), ("node_limit", node_limit)):
+            if value is not None and not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        return super().__new__(cls, timeout_seconds, node_limit)
 
 
 class SolveOutcome(NamedTuple):
@@ -128,17 +139,19 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     proves none exists, or TIMED_OUT when a configured limit was hit.
     A classical spec allows no gap at all, so it goes to ``classic_c1p``
     with no search and no limits.  ``stats.prunes`` counts every rule of
-    ``PRUNE_RULES``, in that order, on every path.
+    ``PRUNE_RULES``, in that order, on every path, as a read-only mapping.
     """
     t0 = time.monotonic()
     prunes = dict.fromkeys(PRUNE_RULES, 0)
+
+    def finish(status: str, witness: ColumnOrdering | None = None, nodes: int = 0) -> SolveOutcome:
+        """The outcome of every path, with the prune counts handed out read-only."""
+        stats = SearchStats(nodes, time.monotonic() - t0, MappingProxyType(prunes))
+        return SolveOutcome(status, witness, stats)
+
     if spec.classical:
         ordering = classic_c1p(matrix)
-        return SolveOutcome(
-            SATISFIED if ordering else EXHAUSTED,
-            ordering,
-            SearchStats(0, time.monotonic() - t0, prunes),
-        )
+        return finish(SATISFIED if ordering else EXHAUSTED, ordering)
     cfg = config or SearchConfig()
     n_cols = matrix.num_columns
 
@@ -146,11 +159,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     # add no information to the decision.
     work_rows = sorted({row for row in matrix.rows if len(row) >= 2})
     if not work_rows:
-        return SolveOutcome(
-            SATISFIED,
-            ColumnOrdering.identity(n_cols),
-            SearchStats(0, time.monotonic() - t0, prunes),
-        )
+        return finish(SATISFIED, ColumnOrdering.identity(n_cols))
 
     # Search only the columns the work rows hold, relabelled by breadth-first
     # rank, so every tie is broken in that order; the witness is mapped back
@@ -200,8 +209,12 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     bit_first = bit_last = 0
     if 1 in rank and matrix.num_columns in rank:
         bit_first, bit_last = 1 << (rank[1] - 1), 1 << (rank[matrix.num_columns] - 1)
-    deadline = None if cfg.timeout_seconds is None else t0 + cfg.timeout_seconds
-    node_limit = cfg.node_limit
+    # The search stops at `limit` nodes and reads the clock every `step`
+    # nodes; `check` is the next count at which either happens.
+    limit = inf if cfg.node_limit is None else cfg.node_limit
+    step = inf if cfg.timeout_seconds is None else 1024
+    deadline = t0 + (cfg.timeout_seconds or 0)
+    check = min(limit, step)
     nodes = 0
 
     def place(state: _State, c: int) -> _State:
@@ -337,14 +350,12 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             c = listed.pop()
         elif rest:
             # The untouched columns below the lowest that passes both parent
-            # masks all fail one, so they are judged as one run unless a
-            # limit or deadline check falls inside it.
+            # masks all fail one, so they are judged as one run unless the
+            # next check falls inside it.
             good = rest & fits & must
             run = rest & ((good & -good) - 1)
             size = run.bit_count()
-            if size and (node_limit is None or nodes + size <= node_limit) and (
-                deadline is None or (nodes - 1) // 1024 == (nodes + size - 1) // 1024
-            ):
+            if size and nodes + size <= check:
                 nodes += size
                 frame[2] = rest ^ run
                 blocked = (run & ~fits).bit_count()
@@ -361,10 +372,10 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             dead.add(stack.pop()[7])
             continue
         # A candidate counts once it is judged, so a limit of N reports N.
-        if (node_limit is not None and nodes >= node_limit) or (
-            deadline is not None and nodes and nodes % 1024 == 0 and time.monotonic() > deadline
-        ):
-            return SolveOutcome(TIMED_OUT, None, SearchStats(nodes, time.monotonic() - t0, prunes))
+        if nodes >= check:
+            if nodes >= limit or time.monotonic() > deadline:
+                return finish(TIMED_OUT, nodes=nodes)
+            check = min(limit, nodes + step)
         nodes += 1
         bit = 1 << c >> 1
         if not bit & fits:
@@ -377,22 +388,21 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             break
         elif not child[2]:
             prunes["forced"] += 1
-        elif dead and (key := dead_key(child)) in dead:
+        elif (key := dead_key(child)) in dead:
             # Dead under another prefix; it passed Hall's condition then.
             prunes["seen"] += 1
         elif (checked := hall(child) if finite else ([], -1)) is None:
             prunes["deadline"] += 1
         else:
-            stack.append([child, *columns(child), *checked, c, key if dead else dead_key(child)])
+            stack.append([child, *columns(child), *checked, c, key])
     else:
-        return SolveOutcome(EXHAUSTED, None, SearchStats(nodes, time.monotonic() - t0, prunes))
-    stats = SearchStats(nodes, time.monotonic() - t0, prunes)
+        return finish(EXHAUSTED, nodes=nodes)
     # The frames above the root hold the placed prefix; c completes it.
     placed = [f[6] for f in stack[1:]] + [c]
     witness = ColumnOrdering(tuple(order[p - 1] for p in placed) + tuple(free))
     if not check_ordering(matrix, witness, spec).ok:
         raise RuntimeError("internal error: search produced an invalid witness")
-    return SolveOutcome(SATISFIED, witness, stats)
+    return finish(SATISFIED, witness, nodes)
 
 
 def breadth_first_order(n_cols: int, rows: list[tuple[int, ...]]) -> list[int]:

@@ -156,6 +156,29 @@ def test_value_types_refuse_assignment(value, field):
         value.extra = None  # no instance dict either
 
 
+def test_mapping_fields_are_read_only():
+    matrix = gapc1p.BinaryMatrix(3, ((1, 2), (2, 3), (1, 3)))
+    prunes = gapc1p.decide(matrix, gapc1p.GapSpec(2, 1)).stats.prunes
+    legend = gapc1p.reduce_formula(gapc1p.Cnf(1, ((1, 1, 1),)), gapc1p.GapSpec(3, 1)).legend
+    for mapping, key in ((prunes, "blocks"), (legend, 1)):
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+        with pytest.raises(AttributeError):  # a read-only mapping has no clear()
+            mapping.clear()
+
+
+@pytest.mark.parametrize("limits", [
+    {"node_limit": -1}, {"node_limit": float("nan")},
+    {"timeout_seconds": -5}, {"timeout_seconds": float("nan")},
+])
+def test_search_config_refuses_negative_and_nan_limits(limits):
+    with pytest.raises(ValueError, match=f"{next(iter(limits))} must be >= 0"):
+        gapc1p.SearchConfig(**limits)
+    assert gapc1p.SearchConfig(0, 0) == (0, 0)
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # The value types are named tuples; -I -S keeps site packages out, so only
     # the package's own imports count.

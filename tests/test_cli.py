@@ -15,6 +15,7 @@ from gapc1p import (
 )
 from gapc1p import verifysuite
 from gapc1p.cli import build_parser, main
+from gapc1p.solver import PRUNE_RULES
 from gapc1p.verifysuite import SUITES, run_suite
 
 TRIPLE_TEXT = "3 3\n1 2\n2 3\n1 3\n"
@@ -90,6 +91,8 @@ class TestSolve:
         assert main([*argv, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)["stats"]
         assert stats["prunes"] == {"blocks": 1, "forced": 2, "deadline": 2, "symmetry": 1, "seen": 2}
+        assert list(stats) == ["nodes_expanded", "elapsed_seconds", "prunes"]
+        assert list(stats["prunes"]) == list(PRUNE_RULES)
 
     def test_classical_json_counts_every_rule_as_zero(self, triple, capsys):
         assert main(["solve", "--matrix", str(triple), "--k", "1", "--delta", "0", "--json"]) == 1
@@ -256,6 +259,8 @@ class TestReduce:
         matrix = parse_matrix(out.read_text())
         assert matrix.num_columns == 12 and matrix.num_rows == 14
         payload = json.loads(legend.read_text())
+        assert list(payload) == ["theorem", "k", "delta", "d", "num_vars", "num_clauses",
+                                 "num_columns", "num_rows", "columns"]
         assert payload["theorem"] == 3 and payload["d"] == 6
         assert len(payload["columns"]) == 12
         roles = {c["column"]: c["role"] for c in payload["columns"]}

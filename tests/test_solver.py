@@ -139,6 +139,19 @@ class TestDecide:
             before = out.stats.prunes
         assert before["blocks"] + before["deadline"] == 582
 
+    def test_generous_timeout_changes_no_count(self):
+        # The clock is read every 1,024 nodes, and a run of rejected candidates
+        # that a read falls inside goes one at a time; this search has such
+        # runs at 1,024, 2,048 and 3,072 nodes.  A timeout that does not
+        # expire changes no status, count or witness under any node limit.
+        m = planted_matrix(random.Random(46), 80, 3, 1)
+        for limit in [*range(1, 3001, 17), None]:
+            a = decide(m, GapSpec(3, 1), SearchConfig(node_limit=limit))
+            b = decide(m, GapSpec(3, 1), SearchConfig(timeout_seconds=3600, node_limit=limit))
+            assert (a.status, a.stats.nodes_expanded, a.stats.prunes, a.witness) == (
+                b.status, b.stats.nodes_expanded, b.stats.prunes, b.witness), limit
+        assert (a.status, a.stats.nodes_expanded) == (SATISFIED, 3427)
+
     def test_timed_out_never_confused_with_exhausted(self):
         out = decide(ALL_PAIRS_5, GapSpec(2, 1), SearchConfig(node_limit=1))
         full = decide(ALL_PAIRS_5, GapSpec(2, 1))
@@ -284,7 +297,8 @@ class TestDecide:
             m = planted_matrix(rng, (20, 80, 200)[i // 3 % 3], k, delta)
             out = decide(m, GapSpec(k, delta), SearchConfig(node_limit=5000))
             witness = out.witness and out.witness.forward
-            digest.update(repr((out.status, out.stats.nodes_expanded, out.stats.prunes, witness)).encode())
+            prunes = dict(out.stats.prunes)
+            digest.update(repr((out.status, out.stats.nodes_expanded, prunes, witness)).encode())
             statuses[out.status] += 1
         assert statuses == {SATISFIED: 78, TIMED_OUT: 12}
         assert digest.hexdigest() == "f705ae569bc976dfc7f14e97b366f06eec04ff3c1eb40f0c3ded7bd6b72d8e8c"
