@@ -45,9 +45,10 @@ class BinaryMatrix(NamedTuple("BinaryMatrix", [("num_columns", int), ("rows", tu
 
     __slots__ = ()
 
-    def __new__(cls, num_columns: int, rows: tuple[tuple[int, ...], ...]) -> BinaryMatrix:
+    def __new__(cls, num_columns: int, rows: Iterable[Sequence[int]]) -> BinaryMatrix:
         if num_columns < 1:
             raise ValueError("num_columns must be positive")
+        rows = tuple(map(tuple, rows))
         for i, row in enumerate(rows, start=1):
             for a, b in zip(row, row[1:]):
                 if a >= b:
@@ -63,7 +64,7 @@ class BinaryMatrix(NamedTuple("BinaryMatrix", [("num_columns", int), ("rows", tu
     @classmethod
     def from_rows(cls, num_columns: int, rows: Iterable[Iterable[int]]) -> "BinaryMatrix":
         """Build a matrix, sorting each row; a duplicate index is a RowError."""
-        return cls(num_columns, tuple(tuple(sorted(row)) for row in rows))
+        return cls(num_columns, map(sorted, rows))
 
 
 class ColumnOrdering(NamedTuple("ColumnOrdering", [("forward", tuple)])):
@@ -71,11 +72,11 @@ class ColumnOrdering(NamedTuple("ColumnOrdering", [("forward", tuple)])):
 
     __slots__ = ()
 
-    def __new__(cls, forward: tuple[int, ...]) -> ColumnOrdering:
+    def __new__(cls, forward: Sequence[int]) -> ColumnOrdering:
         n = len(forward)
         if sorted(forward) != list(range(1, n + 1)):
             raise ValueError("forward map is not a permutation of 1..n")
-        return super().__new__(cls, forward)
+        return super().__new__(cls, tuple(forward))
 
     @property
     def inverse(self) -> tuple[int, ...]:
@@ -355,7 +356,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
     # The row check runs on the rows before a bad token, so the first line
     # with a fault is named; a sorted row fails it by range or by a repeat.
     try:
-        matrix = BinaryMatrix(num_cols, tuple(rows))
+        matrix = BinaryMatrix(num_cols, rows)
     except RowError as exc:
         top = rows[exc.row - 1][-1]
         problem = (f"index {top} exceeds {num_cols} columns" if top > num_cols

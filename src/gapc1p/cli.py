@@ -125,8 +125,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _stats_json(stats: SearchStats) -> dict:
-    return {**stats._asdict(), "elapsed_seconds": round(stats.elapsed_seconds, 6),
-            "prunes": dict(stats.prunes)}
+    return {"nodes_expanded": stats.nodes_expanded,
+            "elapsed_seconds": round(stats.elapsed_seconds, 6), "prunes": stats.prunes}
 
 
 def _cmd_check(args) -> int:

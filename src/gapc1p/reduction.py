@@ -27,8 +27,7 @@ REPAIRS.md, and the generated instances are validated empirically by
 from __future__ import annotations
 
 import itertools
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .bitmatrix import (
     BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, strict_int,
@@ -60,9 +59,10 @@ class Cnf(NamedTuple("Cnf", [("num_vars", int), ("clauses", tuple)])):
 
     __slots__ = ()
 
-    def __new__(cls, num_vars: int, clauses: tuple[tuple[int, ...], ...]) -> Cnf:
+    def __new__(cls, num_vars: int, clauses: Iterable[Sequence[int]]) -> Cnf:
         if num_vars < 0:
             raise ValueError(f"num_vars must be >= 0, got {num_vars}")
+        clauses = tuple(map(tuple, clauses))
         for i, clause in enumerate(clauses, start=1):
             if not clause:
                 raise ValueError(f"clause {i} is empty")
@@ -96,11 +96,22 @@ class ReductionOutput(NamedTuple):
     """
 
     matrix: BinaryMatrix
-    legend: Mapping[int, ColumnRole]
     cnf: Cnf
     params: ReductionParams
     clause_blocks: tuple[tuple[int, ...], ...]
     first_literal_row: int
+
+    @property
+    def legend(self) -> dict[int, ColumnRole]:
+        """Each column's role, in column order, as a new dict on each read."""
+        n = self.params.num_vars
+        legend = {c: ColumnRole(ROLE_VARIABLE, (c + 1) // 2, 2 - c % 2) for c in range(1, 2 * n + 1)}
+        for t in range(1, self.params.d + 1):
+            legend[2 * n + t] = ColumnRole(ROLE_SEPARATOR, t)
+        for j, block in enumerate(self.clause_blocks, start=1):
+            for s, c in enumerate(block, start=1):
+                legend[c] = ColumnRole(ROLE_CLAUSE, j, s)
+        return legend
 
     def separator_column(self, t: int) -> int:
         return 2 * self.params.num_vars + t
@@ -188,7 +199,7 @@ def parse_dimacs(text: str) -> Cnf:
         raise DimacsFormatError(
             f"header announces {num_clauses} clauses, found {len(clauses)}"
         )
-    return Cnf(num_vars, tuple(clauses))
+    return Cnf(num_vars, clauses)
 
 
 def to_exact3(cnf: Cnf) -> Cnf:
@@ -216,7 +227,7 @@ def to_exact3(cnf: Cnf) -> Cnf:
             clauses.append((-fresh, remaining.pop(0), nxt))
             fresh = nxt
         clauses.append((-fresh, remaining[0], remaining[1]))
-    return Cnf(next_var - 1, tuple(clauses))
+    return Cnf(next_var - 1, clauses)
 
 
 def satisfying_assignments(cnf: Cnf):
@@ -238,19 +249,6 @@ def formula_value(cnf: Cnf, assignment: Mapping[int, bool]) -> bool:
 
 # ---------------------------------------------------------------------------
 # Matrix generators.
-
-
-def _legend(n: int, d: int, blocks: Sequence[tuple[int, ...]]) -> Mapping[int, ColumnRole]:
-    legend: dict[int, ColumnRole] = {}
-    for i in range(1, n + 1):
-        legend[2 * i - 1] = ColumnRole(ROLE_VARIABLE, i, 1)
-        legend[2 * i] = ColumnRole(ROLE_VARIABLE, i, 2)
-    for t in range(1, d + 1):
-        legend[2 * n + t] = ColumnRole(ROLE_SEPARATOR, t)
-    for j, block in enumerate(blocks, start=1):
-        for s, c in enumerate(block, start=1):
-            legend[c] = ColumnRole(ROLE_CLAUSE, j, s)
-    return MappingProxyType(legend)
 
 
 def _variable_row(i: int, n: int, k: int, sep: int) -> tuple[int, ...]:
@@ -335,9 +333,9 @@ def reduce_formula(cnf: Cnf, spec: GapSpec) -> ReductionOutput:
     for j, clause in enumerate(cnf.clauses, start=1):
         for slot, lit in enumerate(clause, start=2):
             rows.append(_literal_row(lit, j, slot, n, k, d, sep, blocks, tail_start))
-    matrix = BinaryMatrix(num_columns, tuple(rows))
+    matrix = BinaryMatrix(num_columns, rows)
     params = ReductionParams(theorem, k, delta, d, n, m)
-    return ReductionOutput(matrix, _legend(n, d, blocks), cnf, params, blocks, first_literal_row)
+    return ReductionOutput(matrix, cnf, params, blocks, first_literal_row)
 
 
 # Shorthands for reduce_formula, outside the public API.  They keep their
@@ -395,7 +393,7 @@ def witness_from_assignment(
             )
         else:
             forward.extend((block[0], *ranked, block[4]))
-    ordering = ColumnOrdering(tuple(forward))
+    ordering = ColumnOrdering(forward)
     if not check_ordering(output.matrix, ordering, GapSpec(params.k, params.delta)).ok:
         raise ConstructionError("assembled witness fails the full matrix check")
     return ordering

@@ -64,8 +64,7 @@ from __future__ import annotations
 import itertools
 import time
 from math import inf
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .bitmatrix import BinaryMatrix, ColumnOrdering, GapSpec, check_ordering, valid_forward_maps
 from .pqtree import consecutive_ordering
@@ -104,7 +103,12 @@ _State = tuple[int, int, int, int, int, int, int, int]
 class SearchStats(NamedTuple):
     nodes_expanded: int
     elapsed_seconds: float
-    prunes: Mapping[str, int]
+    prune_counts: tuple[int, ...]  # in PRUNE_RULES order
+
+    @property
+    def prunes(self) -> dict[str, int]:
+        """The prune counts by rule, in ``PRUNE_RULES`` order, as a new dict on each read."""
+        return dict(zip(PRUNE_RULES, self.prune_counts))
 
 
 class SearchConfig(NamedTuple("SearchConfig", [("timeout_seconds", float | None),
@@ -118,6 +122,8 @@ class SearchConfig(NamedTuple("SearchConfig", [("timeout_seconds", float | None)
         for name, value in (("timeout_seconds", timeout_seconds), ("node_limit", node_limit)):
             if value is not None and not value >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be >= 0, got {value}")
+        if node_limit is not None and not isinstance(node_limit, int):
+            raise ValueError(f"node_limit must be an int, got {node_limit!r}")
         return super().__new__(cls, timeout_seconds, node_limit)
 
 
@@ -139,14 +145,14 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     proves none exists, or TIMED_OUT when a configured limit was hit.
     A classical spec allows no gap at all, so it goes to ``classic_c1p``
     with no search and no limits.  ``stats.prunes`` counts every rule of
-    ``PRUNE_RULES``, in that order, on every path, as a read-only mapping.
+    ``PRUNE_RULES``, in that order, on every path.
     """
     t0 = time.monotonic()
     prunes = dict.fromkeys(PRUNE_RULES, 0)
 
     def finish(status: str, witness: ColumnOrdering | None = None, nodes: int = 0) -> SolveOutcome:
-        """The outcome of every path, with the prune counts handed out read-only."""
-        stats = SearchStats(nodes, time.monotonic() - t0, MappingProxyType(prunes))
+        """The outcome of every path, with the prune counts in rule order."""
+        stats = SearchStats(nodes, time.monotonic() - t0, tuple(prunes.values()))
         return SolveOutcome(status, witness, stats)
 
     if spec.classical:
@@ -164,11 +170,10 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     # Search only the columns the work rows hold, relabelled by breadth-first
     # rank, so every tie is broken in that order; the witness is mapped back
     # at the end and the free columns follow it, where they touch no row.
-    held = {c for row in work_rows for c in row}
-    order = [c for c in breadth_first_order(n_cols, work_rows) if c in held]
-    free = [c for c in range(1, n_cols + 1) if c not in held]
-    n_cols = len(order)  # the searched columns from here on
+    order = breadth_first_order(n_cols, work_rows)
     rank = {c: at for at, c in enumerate(order, 1)}
+    free = [c for c in range(1, n_cols + 1) if c not in rank]
+    n_cols = len(order)  # the searched columns from here on
     work_rows = [tuple(map(rank.__getitem__, row)) for row in work_rows]
     longest = max(len(row) for row in work_rows)
     # An active row has fewer blocks than ones, so a bound above the longest
@@ -399,14 +404,14 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         return finish(EXHAUSTED, nodes=nodes)
     # The frames above the root hold the placed prefix; c completes it.
     placed = [f[6] for f in stack[1:]] + [c]
-    witness = ColumnOrdering(tuple(order[p - 1] for p in placed) + tuple(free))
+    witness = ColumnOrdering([order[p - 1] for p in placed] + free)
     if not check_ordering(matrix, witness, spec).ok:
         raise RuntimeError("internal error: search produced an invalid witness")
     return finish(SATISFIED, witness, nodes)
 
 
 def breadth_first_order(n_cols: int, rows: list[tuple[int, ...]]) -> list[int]:
-    """Columns 1..n_cols in Cuthill-McKee order over the rows' incidence.
+    """The columns that some row holds, in Cuthill-McKee order over the rows' incidence.
 
     Each component takes three sweeps: two find a far column (from its lowest
     column, then from the last one reached), and the third, from it, is the
@@ -440,7 +445,7 @@ def breadth_first_order(n_cols: int, rows: list[tuple[int, ...]]) -> list[int]:
 
     order: list[int] = []
     for c in range(1, n_cols + 1):
-        if not seen[c]:
+        if col_rows[c] and not seen[c]:
             order += sweep(sweep(sweep(c)[-1])[-1])
     return order
 
@@ -465,7 +470,7 @@ def classic_c1p(matrix: BinaryMatrix) -> ColumnOrdering | None:
     forward = consecutive_ordering(matrix.num_columns, matrix.rows)
     if forward is None:
         return None
-    ordering = ColumnOrdering(tuple(forward))
+    ordering = ColumnOrdering(forward)
     if not check_ordering(matrix, ordering, GapSpec(1, 0)).ok:
         raise RuntimeError("internal error: consecutive ordering fails verification")
     return ordering

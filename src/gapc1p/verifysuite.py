@@ -156,7 +156,7 @@ def collapse_and_reversal() -> str:
         n = matrix.num_columns
         forward = list(range(1, n + 1))
         rng.shuffle(forward)
-        ordering = ColumnOrdering(tuple(forward))
+        ordering = ColumnOrdering(forward)
         for spec in (GapSpec(1, 0), GapSpec(2, 1), GapSpec(3, 2), GapSpec(None, 1)):
             lhs = check_ordering(matrix, ordering, spec).ok
             rhs = check_ordering(matrix, ordering.reverse(), spec).ok

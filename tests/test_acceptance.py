@@ -5,17 +5,22 @@ Each criterion prints a single pass/fail line.  All but C8 are the rows of
 all`), with their elapsed time; budgets are enforced by ``run_case``.
 """
 
+import copy
 import json
+import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import gapc1p
 from gapc1p.reduction import DEVIATIONS
+from gapc1p.solver import PRUNE_RULES
 from gapc1p.verifysuite import CASES, PASS, CaseResult, run_case
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -121,7 +126,7 @@ def _value_instances():
     """One instance of each public value type and of CaseResult, with a field name."""
     matrix = gapc1p.BinaryMatrix(2, ((1, 2),))
     ordering = gapc1p.ColumnOrdering((2, 1))
-    stats = gapc1p.SearchStats(0, 0.0, {})
+    stats = gapc1p.SearchStats(0, 0.0, (0, 0, 0, 0, 0))
     outcome = gapc1p.SolveOutcome(gapc1p.SATISFIED, ordering, stats)
     cnf = gapc1p.Cnf(1, ((1,),))
     params = gapc1p.ReductionParams(2, 3, 1, 6, 1, 1)
@@ -139,7 +144,7 @@ def _value_instances():
         (cnf, "clauses"),
         (gapc1p.ColumnRole("variable", 1, 1), "slot"),
         (params, "delta"),
-        (gapc1p.ReductionOutput(matrix, {}, cnf, params, (), 0), "matrix"),
+        (gapc1p.ReductionOutput(matrix, cnf, params, (), 0), "matrix"),
         (gapc1p.EquivalenceReport(True, True, outcome), "agree"),
         (CaseResult("C0", "name", PASS, 0.0, "detail"), "status"),
     ]
@@ -156,17 +161,94 @@ def test_value_types_refuse_assignment(value, field):
         value.extra = None  # no instance dict either
 
 
+def _live_outputs():
+    """What the public operations return, one per path that builds a record."""
+    triple = gapc1p.BinaryMatrix(3, ((1, 2), (2, 3), (1, 3)))
+    pairs = gapc1p.BinaryMatrix(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
+    cnf = gapc1p.Cnf(1, ((1, 1, 1),))
+    return [
+        gapc1p.decide(triple, gapc1p.GapSpec(2, 1)),  # satisfied
+        gapc1p.decide(pairs, gapc1p.GapSpec(2, 1)),  # exhausted
+        gapc1p.decide(pairs, gapc1p.GapSpec(2, 1), gapc1p.SearchConfig(node_limit=1)),  # timed out
+        gapc1p.decide(triple, gapc1p.GapSpec(1, 0)),  # the classical route
+        gapc1p.reduce_formula(cnf, gapc1p.GapSpec(3, 1)),
+        gapc1p.reduce_formula(cnf, gapc1p.GapSpec(2, 2)),
+        gapc1p.verify_reduction(cnf, gapc1p.GapSpec(3, 1)),
+        gapc1p.brute_force(triple, gapc1p.GapSpec(2, 1)),
+        gapc1p.verify_rigidity(5, 1, 2),  # rigid
+        gapc1p.verify_rigidity(4, 1, 2),  # undersized, with a counterexample
+        # A violation: no order makes all three pairs of the triangle consecutive.
+        gapc1p.check_ordering(triple, gapc1p.ColumnOrdering.identity(3), gapc1p.GapSpec(1, 0)),
+    ]
+
+
+_LIVE = _live_outputs()
+
+
+@pytest.mark.parametrize("value", [value for value, _ in _VALUES] + _LIVE,
+                         ids=[type(value).__name__ for value, _ in _VALUES]
+                         + [f"live{i}-{type(value).__name__}" for i, value in enumerate(_LIVE)])
+def test_values_hash_pickle_and_deep_copy(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+
+
+def _without_time(outcome):
+    return outcome._replace(stats=outcome.stats._replace(elapsed_seconds=0.0))
+
+
+def test_decide_outcomes_cross_a_process_pool():
+    matrices = [gapc1p.BinaryMatrix(3, ((1, 2), (2, 3), (1, 3))),
+                gapc1p.BinaryMatrix(5, tuple((a, b) for a in range(1, 6) for b in range(a + 1, 6))),
+                gapc1p.reduce_formula(gapc1p.Cnf(1, ((1,), (-1,))), gapc1p.GapSpec(3, 1)).matrix]
+    specs = [gapc1p.GapSpec(2, 1), gapc1p.GapSpec(2, 1), gapc1p.GapSpec(3, 1)]
+    # Spawned workers start from a fresh import, so everything crosses by pickle.
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        pooled = list(pool.map(gapc1p.decide, matrices, specs, timeout=120))
+    local = [gapc1p.decide(m, spec) for m, spec in zip(matrices, specs)]
+    assert [o.status for o in local] == [gapc1p.SATISFIED, gapc1p.EXHAUSTED, gapc1p.EXHAUSTED]
+    assert list(map(_without_time, pooled)) == list(map(_without_time, local))
+
+
 def test_mapping_fields_are_read_only():
+    # prunes and legend are built from the record's fields on each read, so
+    # changing the dict one read returns leaves the record as it was.
     matrix = gapc1p.BinaryMatrix(3, ((1, 2), (2, 3), (1, 3)))
-    prunes = gapc1p.decide(matrix, gapc1p.GapSpec(2, 1)).stats.prunes
-    legend = gapc1p.reduce_formula(gapc1p.Cnf(1, ((1, 1, 1),)), gapc1p.GapSpec(3, 1)).legend
-    for mapping, key in ((prunes, "blocks"), (legend, 1)):
-        with pytest.raises(TypeError):
-            mapping[key] = mapping[key]
-        with pytest.raises(TypeError):
-            del mapping[key]
-        with pytest.raises(AttributeError):  # a read-only mapping has no clear()
-            mapping.clear()
+    stats = gapc1p.decide(matrix, gapc1p.GapSpec(2, 1)).stats
+    output = gapc1p.reduce_formula(gapc1p.Cnf(1, ((1, 1, 1),)), gapc1p.GapSpec(3, 1))
+    for record, name, key in ((stats, "prunes", "blocks"), (output, "legend", 1)):
+        first = getattr(record, name)
+        expected = dict(first)
+        first[key] = None
+        del first[next(iter(expected))]
+        first["extra"] = None
+        assert getattr(record, name) == expected
+        assert getattr(record, name) is not getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, {})
+    assert list(stats.prunes) == list(PRUNE_RULES)
+    assert tuple(stats.prunes.values()) == stats.prune_counts
+    assert sorted(output.legend) == list(range(1, output.matrix.num_columns + 1))
+
+
+def test_list_built_values_store_tuples():
+    rows = [[1, 2], [2, 3]]
+    pairs = [(gapc1p.BinaryMatrix(3, rows), gapc1p.BinaryMatrix(3, ((1, 2), (2, 3)))),
+             (gapc1p.ColumnOrdering([2, 1, 3]), gapc1p.ColumnOrdering((2, 1, 3))),
+             (gapc1p.Cnf(2, [[1, -2], [2]]), gapc1p.Cnf(2, ((1, -2), (2,))))]
+    for listed, twin in pairs:
+        assert listed == twin
+        assert hash(listed) == hash(twin)
+    rows[0].append(3)  # the matrix holds its own copy
+    matrix, ordering, cnf = (listed for listed, _ in pairs)
+    assert matrix.rows == ((1, 2), (2, 3)) and type(matrix.rows[0]) is tuple
+    assert gapc1p.check_ordering(matrix, ordering, gapc1p.GapSpec(2, 1)).ok
+    outcome = gapc1p.decide(matrix, gapc1p.GapSpec(2, 1))
+    assert outcome.status == gapc1p.SATISFIED
+    assert gapc1p.decide(gapc1p.reduce_formula(cnf, gapc1p.GapSpec(3, 1)).matrix,
+                         gapc1p.GapSpec(3, 1)).status == gapc1p.SATISFIED
 
 
 @pytest.mark.parametrize("limits", [
@@ -177,6 +259,17 @@ def test_search_config_refuses_negative_and_nan_limits(limits):
     with pytest.raises(ValueError, match=f"{next(iter(limits))} must be >= 0"):
         gapc1p.SearchConfig(**limits)
     assert gapc1p.SearchConfig(0, 0) == (0, 0)
+
+
+def test_search_config_refuses_a_fractional_node_limit():
+    # A fractional limit would overshoot: the search stops at the first count
+    # at or above it.  A negative one fails the earlier, sign check.
+    for limit in (2.5, 3.0, float("inf")):
+        with pytest.raises(ValueError, match="node_limit must be an int"):
+            gapc1p.SearchConfig(node_limit=limit)
+    with pytest.raises(ValueError, match="node_limit must be >= 0"):
+        gapc1p.SearchConfig(node_limit=-1.5)
+    assert gapc1p.SearchConfig(1.5, 3) == (1.5, 3)
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

@@ -36,6 +36,7 @@ def test_ci_workflow_runs_the_tier1_command():
     runs = [line.strip() for line in workflow.splitlines() if line.strip().startswith("run: ")]
     assert f"run: {command.group(1)}" in runs
     assert "run: python3 perfbench/selfcheck.py" in runs
+    assert "run: python3 tools/mutants.py" in runs
     # Full-size planted and refute runs that fail unless their result line is correct.
     for workload in ("planted", "refute"):
         step = f"run: python3 perfbench/run.py --workload {workload} --seed 1 --seconds 5 --trace 0 | "
