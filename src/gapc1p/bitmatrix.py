@@ -46,6 +46,8 @@ class BinaryMatrix(NamedTuple("BinaryMatrix", [("num_columns", int), ("rows", tu
     __slots__ = ()
 
     def __new__(cls, num_columns: int, rows: Iterable[Sequence[int]]) -> BinaryMatrix:
+        if not isinstance(num_columns, int):
+            raise ValueError(f"num_columns must be an int, got {num_columns!r}")
         if num_columns < 1:
             raise ValueError("num_columns must be positive")
         rows = tuple(map(tuple, rows))
@@ -104,10 +106,11 @@ class GapSpec(NamedTuple("GapSpec", [("k", int | None), ("delta", int | None)]))
     __slots__ = ()
 
     def __new__(cls, k: int | None, delta: int | None) -> GapSpec:
-        if k is not None and k < 1:
-            raise ValueError("finite k must be >= 1")
-        if delta is not None and delta < 0:
-            raise ValueError("finite delta must be >= 0")
+        for name, value, least in (("k", k, 1), ("delta", delta, 0)):
+            if not isinstance(value, int | None):
+                raise ValueError(f"{name} must be an int or None, got {value!r}")
+            if value is not None and value < least:
+                raise ValueError(f"finite {name} must be >= {least}")
         return super().__new__(cls, k, delta)
 
     @property

@@ -60,6 +60,8 @@ class Cnf(NamedTuple("Cnf", [("num_vars", int), ("clauses", tuple)])):
     __slots__ = ()
 
     def __new__(cls, num_vars: int, clauses: Iterable[Sequence[int]]) -> Cnf:
+        if not isinstance(num_vars, int):
+            raise ValueError(f"num_vars must be an int, got {num_vars!r}")
         if num_vars < 0:
             raise ValueError(f"num_vars must be >= 0, got {num_vars}")
         clauses = tuple(map(tuple, clauses))

@@ -29,10 +29,11 @@ against a mask of the columns each frame may take, then two deadline tests,
 that the column lies in the parent's smallest tight union and that an
 untouched column does not start rows with too little slack.  The child is
 then built, and the forced rule (no column may come next), the exhausted-state
-table and Hall's condition on the child come last.  The untouched candidates
-that precede, in rank order, the first one passing both parent masks are
-counted as one run, with the same nodes and prunes as one by one; a run that
-a node limit or a deadline check would fall inside goes one at a time.
+table and Hall's condition on the child come last.  Candidates are tried in
+the static rank below, and those that precede the first one passing both
+parent masks are counted as one run, with the same nodes and prunes as one
+by one; a run that a node limit or a deadline check would fall inside goes
+one at a time.
 
 A state, without its prefix, determines its whole subtree, and a frame is
 popped only once every candidate under it has failed.  So each popped state
@@ -42,8 +43,8 @@ states of Held and Karp 1962).  Only exhausted subtrees are cut, so no status
 and no first witness changes.  The table is cleared when it holds
 ``TABLE_FIELDS`` packed row fields, which only forgets pruning.
 
-Ties between candidates follow one static rank, not the labels: the columns
-in breadth-first (Cuthill-McKee) order, each component from a far column, so
+Candidates are tried in one static rank, not the labels: the columns in
+breadth-first (Cuthill-McKee) order, each component from a far column, so
 a layout starts at an end rather than in its interior.  The reversal-symmetry
 pair stays on the caller's columns 1 and n, and is dropped when either is
 free.  A candidate's fate depends only on its parent, an exhausted search
@@ -244,19 +245,16 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         touched = (touched | reach) & unplaced
         return unplaced, touched, allowed, active, gap, blocks, gaps, placed
 
-    def columns(state: _State) -> tuple[list[int], int, int]:
-        """The columns to try next: a list popped from the end, then a mask; and the blocks mask.
+    def columns(state: _State) -> tuple[int, int]:
+        """The columns to try next, in rank order; and the blocks mask.
 
-        Columns that share a row with an active row are listed, least urgent
-        first; the others stay in the mask and are tried in rank order, so
-        a frame holds O(active rows) candidates, not every unplaced column.
         Both are empty if the state is pruned.  The blocks mask holds the
         columns that give no row a block too many: a column must lie in each
         active row at the block limit that is in a block, since it may not
         open a gap there, and in none that is in a gap, since it may not end
         the gap.
         """
-        unplaced, touched, allowed, active, gap, blocks = state[:6]
+        unplaced, _, allowed, active, gap, blocks = state[:6]
         if allowed & bit_last and unplaced & bit_first:
             # Only explore prefixes placing column 1 before column n_cols
             # (distinct columns: a work row has two ones); sound because
@@ -264,22 +262,14 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
             allowed ^= bit_last
             if allowed == 0:
                 prunes["symmetry"] += 1
-                return [], 0, 0
+                return 0, 0
         fits = -1
         full_rows = blocks & active << shift
         while full_rows:
             low = full_rows & -full_rows
             fits &= ~row_mask[low] if low >> shift & gap else row_mask[low]
             full_rows ^= low
-        # Most urgent: in most rows in a gap, then most active rows, then lowest rank.
-        keys = []
-        listed = allowed & touched
-        while listed:
-            c = (listed & -listed).bit_length()
-            listed ^= 1 << (c - 1)
-            keys.append(((col_rows[c] & gap).bit_count(), (col_rows[c] & active).bit_count(), -c))
-        keys.sort()
-        return [-key[2] for key in keys], allowed & ~touched, fits
+        return allowed, fits
 
     def hall(state: _State) -> tuple[list[tuple[int, int]], int] | None:
         """Hall's condition on the active rows' deadlines.
@@ -350,31 +340,29 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     table_cap = max(1, TABLE_FIELDS // len(work_rows))
     while stack:
         frame = stack[-1]
-        state, listed, rest, fits, due, must, _, _ = frame
-        if listed:
-            c = listed.pop()
-        elif rest:
-            # The untouched columns below the lowest that passes both parent
-            # masks all fail one, so they are judged as one run unless the
-            # next check falls inside it.
+        state, rest, fits, due, must, _, _ = frame
+        if rest:
+            # The columns below the lowest that passes both parent masks all
+            # fail one, so they are judged as one run unless the next check
+            # falls inside it.
             good = rest & fits & must
             run = rest & ((good & -good) - 1)
             size = run.bit_count()
             if size and nodes + size <= check:
                 nodes += size
-                frame[2] = rest ^ run
+                frame[1] = rest ^ run
                 blocked = (run & ~fits).bit_count()
                 prunes["blocks"] += blocked
                 prunes["deadline"] += size - blocked
                 continue
             low = rest & -rest
-            frame[2] = rest ^ low
+            frame[1] = rest ^ low
             c = low.bit_length()
         else:
             # Every candidate of the frame is judged, so its state is dead.
             if len(dead) >= table_cap:
                 dead.clear()
-            dead.add(stack.pop()[7])
+            dead.add(stack.pop()[6])
             continue
         # A candidate counts once it is judged, so a limit of N reports N.
         if nodes >= check:
@@ -403,7 +391,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     else:
         return finish(EXHAUSTED, nodes=nodes)
     # The frames above the root hold the placed prefix; c completes it.
-    placed = [f[6] for f in stack[1:]] + [c]
+    placed = [f[5] for f in stack[1:]] + [c]
     witness = ColumnOrdering([order[p - 1] for p in placed] + free)
     if not check_ordering(matrix, witness, spec).ok:
         raise RuntimeError("internal error: search produced an invalid witness")

@@ -272,6 +272,21 @@ def test_search_config_refuses_a_fractional_node_limit():
     assert gapc1p.SearchConfig(1.5, 3) == (1.5, 3)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: gapc1p.GapSpec(2, 1.5), "delta"),
+    (lambda: gapc1p.GapSpec(2.5, 1), "k"),
+    (lambda: gapc1p.GapSpec("2", 1), "k"),
+    (lambda: gapc1p.GapSpec(2, -0.5), "delta"),
+    (lambda: gapc1p.BinaryMatrix(4.5, ((1, 2),)), "num_columns"),
+    (lambda: gapc1p.Cnf(1.5, ((1,),)), "num_vars"),
+])
+def test_value_types_refuse_a_bound_or_count_that_is_not_an_int(make, field):
+    # Checked before the range, so a fractional, negative or string value
+    # is a ValueError that names the field, not a crash or a verdict later.
+    with pytest.raises(ValueError, match=f"^{field} must be an int"):
+        make()
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # The value types are named tuples; -I -S keeps site packages out, so only
     # the package's own imports count.

@@ -80,17 +80,18 @@ class TestSolve:
         assert exhausted == 1 and undecided == 2
 
     def test_stats_line_counts_prunes_by_rule(self, tmp_path, capsys):
-        # Every rule fires on this 8-column matrix at (3,1).
+        # Every rule fires on this 8-column matrix at (3,1).  The search
+        # exhausts it, so its counts do not depend on the candidate order.
         path = tmp_path / "m.txt"
-        path.write_text("4 8\n1 4 8\n3 6 7 8\n2 3 4 5\n2 3\n")
+        path.write_text("8 8\n4 7 8\n2 3\n1 2 5\n5 8\n3 8\n2 8\n1 2 3 6\n3 4 6 7\n")
         argv = ["solve", "--matrix", str(path), "--k", "3", "--delta", "1"]
-        assert main(argv) == 0
+        assert main(argv) == 1
         line = capsys.readouterr().err.strip()
-        assert line.startswith("status=satisfied nodes=30 ")
-        assert line.endswith(" prunes=blocks:1,forced:2,deadline:2,symmetry:1,seen:2")
-        assert main([*argv, "--json"]) == 0
+        assert line.startswith("status=exhausted nodes=66 ")
+        assert line.endswith(" prunes=blocks:2,forced:6,deadline:36,symmetry:2,seen:2")
+        assert main([*argv, "--json"]) == 1
         stats = json.loads(capsys.readouterr().out)["stats"]
-        assert stats["prunes"] == {"blocks": 1, "forced": 2, "deadline": 2, "symmetry": 1, "seen": 2}
+        assert stats["prunes"] == {"blocks": 2, "forced": 6, "deadline": 36, "symmetry": 2, "seen": 2}
         assert list(stats) == ["nodes_expanded", "elapsed_seconds", "prunes"]
         assert list(stats["prunes"]) == list(PRUNE_RULES)
 

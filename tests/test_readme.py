@@ -45,7 +45,7 @@ def test_ci_workflow_runs_the_tier1_command():
         assert "r['correct'] is True and r['failed'] == 0" in checks[0]
         if workload == "planted":
             # The search must keep deciding exactly the same budgeted ops.
-            assert "r['metrics']['decided_share']['value'] == 174 / 192" in checks[0]
+            assert "r['metrics']['decided_share']['value'] == 175 / 192" in checks[0]
     # The full-size c1p-scale and oracle runs also read their meta line: every
     # c1p-scale probe passes, and the oracle probes pin the R9 boundary: 7 of
     # the 20 gapped-family witness probes build, 13 refuse.

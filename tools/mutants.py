@@ -55,6 +55,9 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
     ("exhausted-state key drops the gap flags", "solver.py",
      "        return unplaced, gap, blocks & live, gaps & live\n",
      "        return unplaced, 0, blocks & live, gaps & live\n", False),
+    ("deadline pre-check applied to touched columns", "solver.py",
+     "not bit & state[1] and late(due, c)",
+     "late(due, c)", False),
     ("reversal pair without its unplaced test", "solver.py",
      "        if allowed & bit_last and unplaced & bit_first:\n",
      "        if allowed & bit_last:\n", False),
