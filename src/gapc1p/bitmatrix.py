@@ -46,7 +46,7 @@ class BinaryMatrix(NamedTuple("BinaryMatrix", [("num_columns", int), ("rows", tu
     __slots__ = ()
 
     def __new__(cls, num_columns: int, rows: Iterable[Sequence[int]]) -> BinaryMatrix:
-        if not isinstance(num_columns, int):
+        if isinstance(num_columns, bool) or not isinstance(num_columns, int):
             raise ValueError(f"num_columns must be an int, got {num_columns!r}")
         if num_columns < 1:
             raise ValueError("num_columns must be positive")
@@ -107,7 +107,7 @@ class GapSpec(NamedTuple("GapSpec", [("k", int | None), ("delta", int | None)]))
 
     def __new__(cls, k: int | None, delta: int | None) -> GapSpec:
         for name, value, least in (("k", k, 1), ("delta", delta, 0)):
-            if not isinstance(value, int | None):
+            if isinstance(value, bool) or not isinstance(value, int | None):
                 raise ValueError(f"{name} must be an int or None, got {value!r}")
             if value is not None and value < least:
                 raise ValueError(f"finite {name} must be >= {least}")
@@ -186,7 +186,11 @@ def valid_forward_maps(matrix: BinaryMatrix, spec: GapSpec) -> tuple[int, Iterat
     obeys this rule is valid.  So a state's count is the sum of its
     children's, worked out once per distinct state (Held and Karp 1962) and
     kept in a memo keyed by one packed int; seeded 10-column inputs took up
-    to 211,296 states and 39 MB peak RSS (README).  ``maps`` enters only
+    to 211,296 states and 39 MB peak RSS (README).  A forcing row's last one
+    is at p - delta or at p, so only the rows of the columns placed at
+    those two positions can force position p + 1: a state costs the degree
+    of those rows and of its children's columns, not the row count.
+    ``maps`` enters only
     states with a nonzero count and re-checks each map with
     ``first_violating_row``; a failure is a RuntimeError.  More than
     ``ENUMERATION_CAP`` columns is a ValueError.
@@ -195,46 +199,73 @@ def valid_forward_maps(matrix: BinaryMatrix, spec: GapSpec) -> tuple[int, Iterat
     if n > ENUMERATION_CAP:
         raise ValueError(f"{n} columns exceeds the enumeration cap of {ENUMERATION_CAP}")
     k_eff, d_eff = spec.block_limit(n), spec.gap_limit(n)
-    rows = sorted({row for row in matrix.rows if len(row) > 1})
-    masks = [sum(1 << c for c in row) for row in rows]
-    col_rows = [[r for r, row in enumerate(rows) if c in row] for c in range(n + 1)]
-    # Above the unplaced mask (bits 1..n), row r's field at shift[r] is blocks
-    # << L | last while the row is active, else 0.  Blocks read 0 once they
-    # cannot reach k with a one left; such a row drops out (field 0) once at
-    # most delta unplaced columns lie outside it, as it can no longer break.
+    # Above the unplaced mask (bits 1..n), row r's field at n + 1 + 2Lr is
+    # blocks << L | last while the row is active, else 0.  Blocks read 0 once
+    # they cannot reach k with a one left; such a row drops out (field 0) once
+    # at most delta unplaced columns lie outside it, as it can no longer break.
     L = n.bit_length()
-    shift = [n + 1 + 2 * L * r for r in range(len(rows))]
     field_mask, last_mask = (1 << 2 * L) - 1, (1 << L) - 1
     root = (1 << (n + 1)) - 2
-    memo: dict[int, int] = {}
+    # col_rows[c]: (field shift, columns) of each row holding c.
+    col_rows: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for r, row in enumerate(sorted({row for row in matrix.rows if len(row) > 1})):
+        mask = sum(1 << c for c in row)
+        for c in row:
+            col_rows[c].append((n + 1 + 2 * L * r, mask))
+    placed = [0] * (n + 1)  # placed[q]: the column at position q of the current prefix
+    memo = {0: 1}  # the one full placement: no unplaced column and every row done
 
-    def children(key: int, p: int) -> Iterator[tuple[int, int]]:
-        allowed = key
-        for r, at in enumerate(shift):
-            field = key >> at & field_mask
-            if field and (p - (field & last_mask) == d_eff or field == k_eff << L | p):
-                allowed &= masks[r]
-        for c in range(1, n + 1):
-            if allowed >> c & 1:
-                child = key ^ 1 << c
-                for r in col_rows[c]:
-                    field = key >> shift[r] & field_mask
-                    left = child & masks[r]
-                    # A block opens at p + 1 unless the row's block ends at p.
-                    blocks = (field >> L) + (not field or field & last_mask != p)
-                    if blocks + left.bit_count() <= k_eff:
-                        blocks = 0
-                    # Field 0 when the row is done or can no longer break.
-                    done = not left or not blocks and (child & root & ~left).bit_count() <= d_eff
-                    child += (0 if done else blocks << L | p + 1) - field << shift[r]
-                yield c, child
+    def children(key: int, p: int) -> list[tuple[int, int]]:
+        # A row whose last one is at q holds the column placed at q, so only
+        # the rows of placed[p - delta] (gap reached delta) and of placed[p]
+        # (k-th block ends at p) can force position p + 1.
+        allowed = key & root
+        q = p - d_eff
+        if q >= 1:
+            for at, mask in col_rows[placed[q]]:
+                if key >> at & last_mask == q:
+                    allowed &= mask
+        for at, mask in col_rows[placed[p]]:
+            if key >> at & field_mask == k_eff << L | p:
+                allowed &= mask
+        # A row with fewer than spare ones left has more than delta unplaced
+        # columns outside it after p + 1.
+        spare = n - p - 1 - d_eff
+        out = []
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            c = low.bit_length() - 1
+            child = key ^ low
+            unplaced = child & root
+            for at, mask in col_rows[c]:
+                field = key >> at & field_mask
+                left = unplaced & mask
+                if not left:  # c was the row's last one
+                    child -= field << at
+                    continue
+                # A block opens at p + 1 unless the row's block ends at p.
+                blocks = (field >> L) + (not field or field & last_mask != p)
+                ones = left.bit_count()
+                if blocks + ones > k_eff:
+                    child += (blocks << L | p + 1) - field << at
+                elif ones < spare:  # blocks read 0
+                    child += p + 1 - field << at
+                else:  # the row can no longer break
+                    child -= field << at
+            out.append((c, child))
+        return out
 
     def count(key: int, p: int) -> int:
-        if p == n:
-            return 1
-        if key not in memo:
-            memo[key] = sum(count(child, p + 1) for _, child in children(key, p))
-        return memo[key]
+        total = 0
+        for c, child in children(key, p):
+            below = memo.get(child)
+            if below is None:
+                placed[p + 1] = c
+                below = count(child, p + 1)
+            total += below
+        memo[key] = total
+        return total
 
     position = [0] * (n + 1)
 
@@ -246,8 +277,10 @@ def valid_forward_maps(matrix: BinaryMatrix, spec: GapSpec) -> tuple[int, Iterat
             if first_violating_row(matrix.rows, position, k_eff, d_eff) >= 0:
                 raise RuntimeError("internal error: enumeration reached an invalid ordering")
             yield prefix
+            return
+        placed[1:p + 1] = prefix  # children reads the prefix; count leaves its last path
         for c, child in children(key, p):
-            if count(child, p + 1):
+            if memo[child]:
                 yield from walk(prefix + (c,), child)
 
     return count(root, 0), walk((), root)

@@ -123,7 +123,7 @@ class SearchConfig(NamedTuple("SearchConfig", [("timeout_seconds", float | None)
         for name, value in (("timeout_seconds", timeout_seconds), ("node_limit", node_limit)):
             if value is not None and not value >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be >= 0, got {value}")
-        if node_limit is not None and not isinstance(node_limit, int):
+        if isinstance(node_limit, bool) or not isinstance(node_limit, int | None):
             raise ValueError(f"node_limit must be an int, got {node_limit!r}")
         return super().__new__(cls, timeout_seconds, node_limit)
 

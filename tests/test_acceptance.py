@@ -279,10 +279,16 @@ def test_search_config_refuses_a_fractional_node_limit():
     (lambda: gapc1p.GapSpec(2, -0.5), "delta"),
     (lambda: gapc1p.BinaryMatrix(4.5, ((1, 2),)), "num_columns"),
     (lambda: gapc1p.Cnf(1.5, ((1,),)), "num_vars"),
+    pytest.param(lambda: gapc1p.GapSpec(True, 1), "k", id="bool-k"),
+    pytest.param(lambda: gapc1p.GapSpec(2, False), "delta", id="bool-delta"),
+    pytest.param(lambda: gapc1p.BinaryMatrix(True, ((1,),)), "num_columns", id="bool-num_columns"),
+    pytest.param(lambda: gapc1p.Cnf(True, ((1,),)), "num_vars", id="bool-num_vars"),
+    pytest.param(lambda: gapc1p.SearchConfig(node_limit=True), "node_limit", id="bool-node_limit"),
 ])
 def test_value_types_refuse_a_bound_or_count_that_is_not_an_int(make, field):
-    # Checked before the range, so a fractional, negative or string value
-    # is a ValueError that names the field, not a crash or a verdict later.
+    # Checked before the range, so a fractional, negative, string or bool
+    # value is a ValueError that names the field, not a crash or a verdict
+    # later (a bool is an int to isinstance: True would read as 1).
     with pytest.raises(ValueError, match=f"^{field} must be an int"):
         make()
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -460,3 +461,34 @@ def test_valid_forward_maps_counts_beyond_the_reference(m, expected):
     count, maps = valid_forward_maps(m, GapSpec(1, 0))
     assert count == expected
     assert next(maps) == tuple(range(1, m.num_columns + 1))
+
+
+def planted_window_matrix(rng, n):
+    """Rows drawn from windows of 2-6 positions of a hidden ordering, plus an
+    empty, a single-one and a duplicate row: most specs admit some maps."""
+    order = rng.sample(range(1, n + 1), n)
+    rows = []
+    for _ in range(rng.randint(n // 2, n)):
+        window = order[rng.randrange(n - 1):][:rng.randint(2, 6)]
+        rows.append(rng.sample(window, rng.randint(2, len(window))))
+    rows += [[], [rng.randint(1, n)], rng.choice(rows)]
+    rng.shuffle(rows)
+    return BinaryMatrix.from_rows(n, rows)
+
+
+def test_valid_forward_maps_outputs_are_pinned_above_the_reference():
+    """Count and first 8 maps of 9 seeded 8-10-column matrices at every reference spec.
+
+    The permutation filter stops at 8 columns (one spec per matrix), so this
+    digest, recorded before the forcing rows were read from the prefix,
+    pins the enumeration where no reference reaches.
+    """
+    rng = random.Random(44)
+    digest = hashlib.sha256()
+    for n in (8, 9, 10):
+        for _ in range(3):
+            m = planted_window_matrix(rng, n)
+            for spec in REFERENCE_SPECS:
+                count, maps = valid_forward_maps(m, spec)
+                digest.update(repr((count, list(itertools.islice(maps, 8)))).encode())
+    assert digest.hexdigest() == "de39707d2018190cb54b6abdb03925e45f4f74950ab6cd450929dbc7e9ed10ae"

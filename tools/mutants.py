@@ -1,13 +1,16 @@
 """Mutants as a standing check: the oracle tests must catch every unsound prune.
 
-Each mutant is one exact source edit to the search in ``src/gapc1p/``, and
-the edit's text must occur exactly once.  The script copies ``src/``,
-``tests/`` and ``pyproject.toml`` to a temporary directory and runs the
-oracle tests there (``brute_force`` agreement, the SAT side and the pinned
-statuses), first on the unmutated copy, which must pass, then once per
-mutant.  An unsound mutant (one that can prune a valid ordering or return
-an invalid one) must fail them; a sound one, which only weakens a prune,
-must pass them, since the oracle tests pin answers and not node counts.
+Each mutant is one exact source edit to the search or to the enumerator
+in ``src/gapc1p/``, and the edit's text must occur exactly once.  The
+script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory and runs the oracle tests there: each module's selection on the
+unmutated copy, which must pass, then one run per mutant with its module's
+selection.  For the search that is ``brute_force`` agreement, the SAT side
+and the pinned statuses; for the enumerator, the permutation-filter
+reference tests and the pinned outputs above their reach.  An unsound
+mutant (one that can prune a valid ordering or return an invalid one) must
+fail them; a sound one, which only weakens a prune, must pass them, since
+the oracle tests pin answers and not node counts.
 The copy matters: pyproject's ``pythonpath = ["src"]`` puts the checkout's
 own ``src/`` first, so a mutant applied in place would still be tested
 against the unmutated code.
@@ -28,7 +31,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SELECT = "brute_force or agree or oracle"
+# The pytest arguments that pick the tests each module's mutants run.
+SELECT = {"solver.py": ["-k", "brute_force or agree or oracle"],
+          "bitmatrix.py": ["tests/test_bitmatrix.py", "-k", "forward_maps"]}
 RUN_TIMEOUT = 900
 
 # (name, module under src/gapc1p, text, replacement, sound).  A prune PR adds
@@ -70,11 +75,18 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
     ("slack ignores the open gap", "solver.py",
      "slack = rem + ((rem & pick) | (left & ~pick)) * d_eff - (gaps - no_gap)\n",
      "slack = rem + ((rem & pick) | (left & ~pick)) * d_eff\n", True),
+    ("gap-forcing rows read one position late", "bitmatrix.py",
+     "col_rows[placed[q]]", "col_rows[placed[q + 1]]", False),
+    ("k-th block end forces nothing", "bitmatrix.py",
+     "            if key >> at & field_mask == k_eff << L | p:\n",
+     "            if False:\n", False),
+    ("walk reads the prefix that count left", "bitmatrix.py",
+     "        placed[1:p + 1] = prefix", "        pass", False),
 ]
 
 
-def run_oracle_tests(tree: Path) -> tuple[bool, str]:
-    """Whether the oracle tests pass in ``tree``, and pytest's summary line.
+def run_oracle_tests(tree: Path, select: list[str]) -> tuple[bool, str]:
+    """Whether the tests that ``select`` picks pass in ``tree``, and pytest's summary line.
 
     Hypothesis's example database is cleared first, so no run replays the
     failures an earlier mutant left there.
@@ -83,7 +95,7 @@ def run_oracle_tests(tree: Path) -> tuple[bool, str]:
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     try:
         run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", SELECT],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *select],
             cwd=tree, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT,
         )
     except subprocess.TimeoutExpired:
@@ -101,9 +113,11 @@ def main() -> int:
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy2(ROOT / "pyproject.toml", tree)
         t0 = time.monotonic()
-        passed, summary = run_oracle_tests(tree)
-        print(f"{'ok' if passed else 'FAIL'}  unmutated copy passes: {summary}", flush=True)
-        missed += not passed
+        for module, select in SELECT.items():
+            passed, summary = run_oracle_tests(tree, select)
+            print(f"{'ok' if passed else 'FAIL'}  unmutated copy passes the {module} tests: "
+                  f"{summary}", flush=True)
+            missed += not passed
         for name, module, text, replacement, sound in MUTANTS:
             path = tree / "src" / "gapc1p" / module
             source = path.read_text()
@@ -113,7 +127,7 @@ def main() -> int:
                 continue
             path.write_text(source.replace(text, replacement))
             try:
-                passed, summary = run_oracle_tests(tree)
+                passed, summary = run_oracle_tests(tree, SELECT[module])
             finally:
                 path.write_text(source)
             ok = passed == sound
