@@ -253,61 +253,23 @@ def formula_value(cnf: Cnf, assignment: Mapping[int, bool]) -> bool:
 # Matrix generators.
 
 
-def _variable_row(i: int, n: int, k: int, sep: int) -> tuple[int, ...]:
-    # All columns of blocks i..n, then the odd separator offsets 1, 3, ..., 2k-1.
-    cols = list(range(2 * i - 1, 2 * n + 1))
-    cols.extend(sep + t for t in range(1, 2 * k, 2))
-    return tuple(cols)
-
-
-def _nesting_row(j: int, k: int, d: int, sep: int, blocks: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    # Separator offsets d-2k+2, d-2k+4, ..., d, then every column of blocks 1..j.
-    cols = [sep + t for t in range(d - 2 * k + 2, d + 1, 2)]
-    for block in blocks[:j]:
-        cols.extend(block)
-    return tuple(sorted(cols))
-
-
-def _literal_row(
-    lit: int,
-    j: int,
-    slot: int,
-    n: int,
-    k: int,
-    d: int,
-    sep: int,
-    blocks: Sequence[tuple[int, ...]],
-    tail_start: int,
-) -> tuple[int, ...]:
-    """One clause-literal row.
-
-    The variable part starts at column 2a for a positive literal on variable
-    a, and at 2a-1 (omitting 2a) for a negative one, then runs through the
-    rest of the variable region.  The separator part is offset 1, the odd
-    offsets below the tail, and the solid tail through offset d.  Clause
-    blocks before j are bridged whole; the targets are the block's first
-    column and the column for this literal's slot.
-    """
-    a = abs(lit)
-    cols = [2 * a if lit > 0 else 2 * a - 1]
-    cols.extend(range(2 * a + 1, 2 * n + 1))
-    offsets = {1}
-    offsets.update(t for t in range(3, tail_start - 1, 2) if t <= d)
-    offsets.update(range(max(1, tail_start), d + 1))
-    cols.extend(sep + t for t in sorted(offsets))
-    for block in blocks[: j - 1]:
-        cols.extend(block)
-    cols.append(blocks[j - 1][0])
-    cols.append(blocks[j - 1][slot - 1])
-    return tuple(sorted(cols))
-
-
 def reduce_formula(cnf: Cnf, spec: GapSpec) -> ReductionOutput:
     """The hardness instance for ``spec`` of any CNF, normalized by ``to_exact3``.
 
     delta = 1 picks the block-count family (k >= 3) and delta >= 2 the
     gapped family (k >= 2); (2,1) and the classical specs have none.  Both
     widen the printed separator to max{2k, 2*delta+3} (REPAIRS.md R2, R7).
+
+    Every row is joined from increasing runs of the column layout, so it is
+    built sorted, with no per-row set or sort, in time linear in its ones:
+    variable columns, then separator offsets, then the clause blocks before
+    j, block j's head and the literal's target.  A variable row holds blocks
+    i..n and the odd offsets 1..2k-1; a nesting row the offsets d-2k+2,
+    d-2k+4, ..., d and blocks 1..j.  A literal row on variable a starts at
+    2a when positive and at 2a-1, omitting 2a, when negative (REPAIRS.md
+    R6), runs through the variable region, takes the odd offsets below the
+    tail and the solid tail through d (R5), bridges blocks 1..j-1 and ends
+    at block j's head and the column of its slot.
     """
     if spec.classical:
         raise ValueError(f"{spec} is the classical C1P, polynomial, no hardness family")
@@ -321,21 +283,23 @@ def reduce_formula(cnf: Cnf, spec: GapSpec) -> ReductionOutput:
     theorem, width, tail_start = (3, 4, 2 * k - 5) if delta == 1 else (2, 5, 2 * k - 3)
     d = max(2 * k, 2 * delta + 3)
     n, m = cnf.num_vars, len(cnf.clauses)
-    sep = 2 * n
-    num_columns = 2 * n + d + width * m
-    blocks = tuple(
-        tuple(2 * n + d + width * (j - 1) + s for s in range(1, width + 1))
-        for j in range(1, m + 1)
-    )
-    separator_order = tuple(sep + t for t in range(1, d + 1))
-    rows: list[tuple[int, ...]] = list(build_gadget(separator_order, delta))
-    rows.extend(_variable_row(i, n, k, sep) for i in range(1, n + 1))
-    rows.extend(_nesting_row(j, k, d, sep, blocks) for j in range(1, m + 1))
+    sep = 2 * n  # the last variable column; separator offset t is column sep + t
+    base = sep + d  # the last separator column; clause blocks follow it
+    blocks = tuple(tuple(range(base + width * j + 1, base + width * (j + 1) + 1)) for j in range(m))
+    variable_sep = tuple(range(sep + 1, sep + 2 * k, 2))
+    nesting_sep = tuple(range(base - 2 * k + 2, base + 1, 2))
+    literal_sep = (*range(sep + 1, sep + tail_start, 2), *range(sep + tail_start, base + 1))
+    rows: list[tuple[int, ...]] = list(build_gadget(tuple(range(sep + 1, base + 1)), delta))
+    rows += [(*range(2 * i - 1, sep + 1), *variable_sep) for i in range(1, n + 1)]
+    rows += [(*nesting_sep, *range(base + 1, base + width * j + 1)) for j in range(1, m + 1)]
     first_literal_row = len(rows)
-    for j, clause in enumerate(cnf.clauses, start=1):
-        for slot, lit in enumerate(clause, start=2):
-            rows.append(_literal_row(lit, j, slot, n, k, d, sep, blocks, tail_start))
-    matrix = BinaryMatrix(num_columns, rows)
+    for block, clause in zip(blocks, cnf.clauses):
+        upto_head = range(base + 1, block[0] + 1)  # blocks 1..j-1, then block j's head
+        for target, lit in zip(block[1:], clause):
+            a = abs(lit)
+            rows.append((2 * a if lit > 0 else 2 * a - 1, *range(2 * a + 1, sep + 1),
+                         *literal_sep, *upto_head, target))
+    matrix = BinaryMatrix(base + width * m, rows)
     params = ReductionParams(theorem, k, delta, d, n, m)
     return ReductionOutput(matrix, cnf, params, blocks, first_literal_row)
 

@@ -173,7 +173,6 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     # at the end and the free columns follow it, where they touch no row.
     order = breadth_first_order(n_cols, work_rows)
     rank = {c: at for at, c in enumerate(order, 1)}
-    free = [c for c in range(1, n_cols + 1) if c not in rank]
     n_cols = len(order)  # the searched columns from here on
     work_rows = [tuple(map(rank.__getitem__, row)) for row in work_rows]
     longest = max(len(row) for row in work_rows)
@@ -191,7 +190,8 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
     lows = sum(1 << (width * r) for r in range(len(work_rows)))
     tops = lows << shift
     no_gap = lows * (top - d_eff) if finite else 0
-    masks = [sum(1 << (c - 1) for c in row) for row in work_rows]
+    bits = [1 << c >> 1 for c in range(n_cols + 1)]  # column c's bit, 0 for c = 0
+    masks = [sum(map(bits.__getitem__, row)) for row in work_rows]
     # Per column: its bit, the low bits of its rows, the columns sharing a
     # row with it, and the gap-field mask and base that reset its rows; and
     # the (slack + 1, other columns) of the rows it starts when it is untouched.
@@ -204,8 +204,8 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         for c in row:
             col_rows[c] |= low
             near[c] |= mask
-            fresh[c].append((start, mask ^ 1 << (c - 1)))
-    col_ops = [(1 << c >> 1, rows, near[c], ~(rows * ones), rows * (top - d_eff))
+            fresh[c].append((start, mask ^ bits[c]))
+    col_ops = [(bits[c], rows, near[c], ~(rows * ones), rows * (top - d_eff))
                for c, rows in enumerate(col_rows)]
     # Row masks keyed by the top bit of the row's field.
     row_mask = {1 << (width * ri + shift): mask for ri, mask in enumerate(masks)}
@@ -392,6 +392,7 @@ def decide(matrix: BinaryMatrix, spec: GapSpec, config: SearchConfig | None = No
         return finish(EXHAUSTED, nodes=nodes)
     # The frames above the root hold the placed prefix; c completes it.
     placed = [f[5] for f in stack[1:]] + [c]
+    free = [u for u in range(1, matrix.num_columns + 1) if u not in rank]
     witness = ColumnOrdering([order[p - 1] for p in placed] + free)
     if not check_ordering(matrix, witness, spec).ok:
         raise RuntimeError("internal error: search produced an invalid witness")
@@ -404,13 +405,18 @@ def breadth_first_order(n_cols: int, rows: list[tuple[int, ...]]) -> list[int]:
     Each component takes three sweeps: two find a far column (from its lowest
     column, then from the last one reached), and the third, from it, is the
     component's order.  A sweep appends each column's newly reached columns
-    by row count, then label, and visits each row once: O(ones).
+    by row count, then label, and visits each row once: O(ones).  Python
+    work is done only for the columns some row holds.
     """
-    col_rows: list[list[int]] = [[] for _ in range(n_cols + 1)]
+    held = sorted(set().union(*rows))
+    # Lists indexed by label, filled in only for the held columns.
+    col_rows: list[list[int] | None] = [None] * (n_cols + 1)
+    for c in held:
+        col_rows[c] = []
     for ri, row in enumerate(rows):
         for c in row:
             col_rows[c].append(ri)
-    key = [len(held) * (n_cols + 1) + c for c, held in enumerate(col_rows)].__getitem__
+    key = {c: len(col_rows[c]) * (n_cols + 1) + c for c in held}.__getitem__
     # Each sweep marks what it reached with its own stamp.
     seen, used, stamps = [0] * (n_cols + 1), [0] * len(rows), itertools.count(1)
 
@@ -427,13 +433,14 @@ def breadth_first_order(n_cols: int, rows: list[tuple[int, ...]]) -> list[int]:
                         if seen[u] != stamp:
                             seen[u] = stamp
                             new.append(u)
-            new.sort(key=key)
-            reached += new
+            if new:
+                new.sort(key=key)
+                reached += new
         return reached
 
     order: list[int] = []
-    for c in range(1, n_cols + 1):
-        if col_rows[c] and not seen[c]:
+    for c in held:
+        if not seen[c]:
             order += sweep(sweep(sweep(c)[-1])[-1])
     return order
 

@@ -123,14 +123,14 @@ def test_public_names_are_pinned():
 
 
 def _value_instances():
-    """One instance of each public value type and of CaseResult, with a field name."""
+    """One instance of each public value type and of CaseResult, with a field name, by type name."""
     matrix = gapc1p.BinaryMatrix(2, ((1, 2),))
     ordering = gapc1p.ColumnOrdering((2, 1))
     stats = gapc1p.SearchStats(0, 0.0, (0, 0, 0, 0, 0))
     outcome = gapc1p.SolveOutcome(gapc1p.SATISFIED, ordering, stats)
     cnf = gapc1p.Cnf(1, ((1,),))
     params = gapc1p.ReductionParams(2, 3, 1, 6, 1, 1)
-    return [
+    values = [
         (matrix, "rows"),
         (ordering, "forward"),
         (gapc1p.GapSpec(2, 1), "k"),
@@ -148,47 +148,66 @@ def _value_instances():
         (gapc1p.EquivalenceReport(True, True, outcome), "agree"),
         (CaseResult("C0", "name", PASS, 0.0, "detail"), "status"),
     ]
+    return {type(value).__name__: (value, field) for value, field in values}
 
 
-_VALUES = _value_instances()
+# The tests below are parametrized over names and build their values inside
+# the test, so a fault in a constructor or an operation fails its own tests
+# instead of the collection of this module.
+_VALUE_NAMES = (
+    "BinaryMatrix", "ColumnOrdering", "GapSpec", "Violation", "CheckReport", "SearchConfig",
+    "SearchStats", "SolveOutcome", "ExhaustiveReport", "RigidityReport", "Cnf", "ColumnRole",
+    "ReductionParams", "ReductionOutput", "EquivalenceReport", "CaseResult",
+)
 
 
-@pytest.mark.parametrize("value, field", _VALUES, ids=[type(value).__name__ for value, _ in _VALUES])
-def test_value_types_refuse_assignment(value, field):
+def test_value_names_list_every_instance():
+    assert tuple(_value_instances()) == _VALUE_NAMES
+
+
+@pytest.mark.parametrize("name", _VALUE_NAMES)
+def test_value_types_refuse_assignment(name):
+    value, field = _value_instances()[name]
     with pytest.raises(AttributeError):
         setattr(value, field, None)
     with pytest.raises(AttributeError):
         value.extra = None  # no instance dict either
 
 
-def _live_outputs():
-    """What the public operations return, one per path that builds a record."""
-    triple = gapc1p.BinaryMatrix(3, ((1, 2), (2, 3), (1, 3)))
-    pairs = gapc1p.BinaryMatrix(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
-    cnf = gapc1p.Cnf(1, ((1, 1, 1),))
-    return [
-        gapc1p.decide(triple, gapc1p.GapSpec(2, 1)),  # satisfied
-        gapc1p.decide(pairs, gapc1p.GapSpec(2, 1)),  # exhausted
-        gapc1p.decide(pairs, gapc1p.GapSpec(2, 1), gapc1p.SearchConfig(node_limit=1)),  # timed out
-        gapc1p.decide(triple, gapc1p.GapSpec(1, 0)),  # the classical route
-        gapc1p.reduce_formula(cnf, gapc1p.GapSpec(3, 1)),
-        gapc1p.reduce_formula(cnf, gapc1p.GapSpec(2, 2)),
-        gapc1p.verify_reduction(cnf, gapc1p.GapSpec(3, 1)),
-        gapc1p.brute_force(triple, gapc1p.GapSpec(2, 1)),
-        gapc1p.verify_rigidity(5, 1, 2),  # rigid
-        gapc1p.verify_rigidity(4, 1, 2),  # undersized, with a counterexample
-        # A violation: no order makes all three pairs of the triangle consecutive.
-        gapc1p.check_ordering(triple, gapc1p.ColumnOrdering.identity(3), gapc1p.GapSpec(1, 0)),
-    ]
+def _triple():
+    return gapc1p.BinaryMatrix(3, ((1, 2), (2, 3), (1, 3)))
 
 
-_LIVE = _live_outputs()
+def _pairs():
+    return gapc1p.BinaryMatrix(4, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)))
 
 
-@pytest.mark.parametrize("value", [value for value, _ in _VALUES] + _LIVE,
-                         ids=[type(value).__name__ for value, _ in _VALUES]
-                         + [f"live{i}-{type(value).__name__}" for i, value in enumerate(_LIVE)])
-def test_values_hash_pickle_and_deep_copy(value):
+# What the public operations return, one per path that builds a record.
+_LIVE = {
+    "live0-SolveOutcome": lambda: gapc1p.decide(_triple(), gapc1p.GapSpec(2, 1)),  # satisfied
+    "live1-SolveOutcome": lambda: gapc1p.decide(_pairs(), gapc1p.GapSpec(2, 1)),  # exhausted
+    "live2-SolveOutcome": lambda: gapc1p.decide(  # timed out
+        _pairs(), gapc1p.GapSpec(2, 1), gapc1p.SearchConfig(node_limit=1)),
+    "live3-SolveOutcome": lambda: gapc1p.decide(_triple(), gapc1p.GapSpec(1, 0)),  # classical
+    "live4-ReductionOutput": lambda: gapc1p.reduce_formula(
+        gapc1p.Cnf(1, ((1, 1, 1),)), gapc1p.GapSpec(3, 1)),
+    "live5-ReductionOutput": lambda: gapc1p.reduce_formula(
+        gapc1p.Cnf(1, ((1, 1, 1),)), gapc1p.GapSpec(2, 2)),
+    "live6-EquivalenceReport": lambda: gapc1p.verify_reduction(
+        gapc1p.Cnf(1, ((1, 1, 1),)), gapc1p.GapSpec(3, 1)),
+    "live7-ExhaustiveReport": lambda: gapc1p.brute_force(_triple(), gapc1p.GapSpec(2, 1)),
+    "live8-RigidityReport": lambda: gapc1p.verify_rigidity(5, 1, 2),  # rigid
+    "live9-RigidityReport": lambda: gapc1p.verify_rigidity(4, 1, 2),  # undersized
+    # A violation: no order makes all three pairs of the triangle consecutive.
+    "live10-CheckReport": lambda: gapc1p.check_ordering(
+        _triple(), gapc1p.ColumnOrdering.identity(3), gapc1p.GapSpec(1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", [*_VALUE_NAMES, *_LIVE])
+def test_values_hash_pickle_and_deep_copy(name):
+    value = _LIVE[name]() if name in _LIVE else _value_instances()[name][0]
+    assert name.endswith(type(value).__name__)
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(twin) is type(value)
         assert twin == value

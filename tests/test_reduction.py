@@ -109,6 +109,26 @@ def sweep_digest():
                                     out.first_literal_row, out.cnf)).encode())
     return digest.hexdigest()
 
+
+# sha256 of reduce_formula over wider formulas than the sweep reaches, at
+# block and gap bounds up to 8 and 6 in both families.  Recorded before the
+# row builder was rewritten to join layout runs, so it pins that rewrite to
+# the rows the per-row sorts built.
+WIDE_DIGEST = "bc03b9fb3e315f4ca882c8165ab9a2523a8519e1ee6a07365de1b3712acbab38"
+WIDE_SPECS = ((3, 1), (5, 1), (8, 1), (2, 2), (3, 4), (2, 6), (8, 6), (6, 3))
+
+
+def wide_formulas():
+    """6 seeded formulas of 5-20 variables and 10-60 clauses of 1-6 literals."""
+    rng = random.Random(2718)
+    for _ in range(6):
+        n = rng.randint(5, 20)
+        yield Cnf(n, tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, 6)))
+            for _ in range(rng.randint(10, 60))
+        ))
+
+
 # sha256 of witness_from_assignment over the sweep below: each forward map or
 # ConstructionError message.  It was computed with the per-block permutation
 # search that the layout rule replaced, so it pins the rule to the
@@ -338,6 +358,15 @@ class TestReduceFormula:
 
     def test_instances_match_the_pinned_digest(self):
         assert sweep_digest() == SWEEP_DIGEST
+
+    def test_wide_instances_match_the_pinned_digest(self):
+        digest = hashlib.sha256()
+        for cnf in wide_formulas():
+            for k, delta in WIDE_SPECS:
+                out = reduce_formula(cnf, GapSpec(k, delta))
+                digest.update(repr((out.matrix, out.params, out.clause_blocks,
+                                    out.first_literal_row, out.cnf)).encode())
+        assert digest.hexdigest() == WIDE_DIGEST
 
 
 class TestWitness:

@@ -1,16 +1,20 @@
 """Mutants as a standing check: the oracle tests must catch every unsound prune.
 
-Each mutant is one exact source edit to the search or to the enumerator
-in ``src/gapc1p/``, and the edit's text must occur exactly once.  The
-script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
-directory and runs the oracle tests there: each module's selection on the
-unmutated copy, which must pass, then one run per mutant with its module's
-selection.  For the search that is ``brute_force`` agreement, the SAT side
-and the pinned statuses; for the enumerator, the permutation-filter
-reference tests and the pinned outputs above their reach.  An unsound
-mutant (one that can prune a valid ordering or return an invalid one) must
-fail them; a sound one, which only weakens a prune, must pass them, since
-the oracle tests pin answers and not node counts.
+Each mutant is one exact source edit to the search, to the enumerator or
+to the reduction generator in ``src/gapc1p/``, and the edit's text must
+occur exactly once.  The script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory and runs the oracle tests
+there: each module's selection on the unmutated copy, which must pass,
+then one run per mutant with its module's selection.  For the search that
+is ``brute_force`` agreement, the SAT side and the pinned statuses; for
+the enumerator, the permutation-filter reference tests and the pinned
+outputs above their reach; for the generator, the reduction tests without
+the digest pins, so that a wrong row is caught by the SAT-oracle
+equivalence and shape tests and not by a recorded hash.  An unsound
+mutant (one that can prune a valid ordering, return an invalid one or
+build a wrong instance) must fail them; a sound one, which only weakens a
+prune, must pass them, since the oracle tests pin answers and not node
+counts.
 The copy matters: pyproject's ``pythonpath = ["src"]`` puts the checkout's
 own ``src/`` first, so a mutant applied in place would still be tested
 against the unmutated code.
@@ -33,7 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # The pytest arguments that pick the tests each module's mutants run.
 SELECT = {"solver.py": ["-k", "brute_force or agree or oracle"],
-          "bitmatrix.py": ["tests/test_bitmatrix.py", "-k", "forward_maps"]}
+          "bitmatrix.py": ["tests/test_bitmatrix.py", "-k", "forward_maps"],
+          "reduction.py": ["tests/test_reduction.py", "-k", "not digest"]}
 RUN_TIMEOUT = 900
 
 # (name, module under src/gapc1p, text, replacement, sound).  A prune PR adds
@@ -82,6 +87,10 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
      "            if False:\n", False),
     ("walk reads the prefix that count left", "bitmatrix.py",
      "        placed[1:p + 1] = prefix", "        pass", False),
+    ("positive literal's row starts at the left column of its block", "reduction.py",
+     "2 * a if lit > 0 else 2 * a - 1", "2 * a - 1 if lit > 0 else 2 * a - 1", False),
+    ("literal rows without the earlier clause blocks", "reduction.py",
+     "*literal_sep, *upto_head, target", "*literal_sep, block[0], target", False),
 ]
 
 
