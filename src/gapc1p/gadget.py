@@ -46,7 +46,8 @@ def _pair_rows(order: Sequence[int], delta: int) -> tuple[tuple[int, ...], ...]:
     rows = []
     for a in range(n):
         for b in range(a + 1, min(a + delta + 2, n)):
-            rows.append(tuple(sorted((order[a], order[b]))))
+            x, y = order[a], order[b]
+            rows.append((x, y) if x < y else (y, x))
     return tuple(rows)
 
 

@@ -314,10 +314,11 @@ def test_value_types_refuse_a_bound_or_count_that_is_not_an_int(make, field):
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # The value types are named tuples; -I -S keeps site packages out, so only
-    # the package's own imports count.
+    # the package's own imports count.  -I also ignores PYTHONDONTWRITEBYTECODE,
+    # so -B keeps this import from writing bytecode under src/.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import gapc1p.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    run = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+    run = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, str(ROOT / "src")],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"

@@ -63,6 +63,45 @@ def nested_prefixes(count: int) -> list[list[int]]:
     return rows
 
 
+def laminar_rows(rng: random.Random, n: int) -> list[list[int]]:
+    """Overlap components over a hidden order, nested in one another and several to a class.
+
+    One matrix in ten also gets a random pair row, which often breaks the property.
+    """
+    hidden = rng.sample(range(1, n + 1), n)
+    rows, segments = [], [(0, n)]
+    while segments:
+        lo, hi = segments.pop()
+        # A chain of rows over 1-3 cuts of the segment: one component whose
+        # classes are the pieces between the cuts.
+        cuts = sorted(rng.sample(range(lo + 1, hi), min(hi - lo - 1, rng.randint(1, 3))))
+        bounds = [lo, *cuts, hi]
+        rows += [hidden[a:b] for a, b in zip(bounds, bounds[2:])] or [hidden[lo:hi]]
+        # Up to two disjoint segments inside each piece of four or more columns.
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a >= 4:
+                ends = sorted(rng.sample(range(a, b + 1), 2 * rng.randint(0, 2)))
+                segments += [(p, q) for p, q in zip(ends[::2], ends[1::2]) if q - p >= 2]
+    if rng.random() < 0.1:
+        rows.append(rng.sample(hidden, 2))
+    rng.shuffle(rows)
+    return rows
+
+
+def interval_rows(rng: random.Random, n: int, cycle: bool) -> list[list[int]]:
+    """Random intervals of a hidden order, plus the pair rows of a hidden 5-cycle if asked."""
+    hidden = rng.sample(range(1, n + 1), n)
+    rows = []
+    for _ in range(rng.randint(1, 2 * n)):
+        a, b = sorted(rng.sample(range(n + 1), 2))
+        rows.append(hidden[a:b])
+    if cycle:
+        ring = rng.sample(hidden, 5)
+        rows += [(ring[j], ring[(j + 1) % 5]) for j in range(5)]
+        rng.shuffle(rows)
+    return rows
+
+
 def refute(k: int = 3) -> BinaryMatrix:
     """The Theorem-3 matrix of (x) and (not x): unsatisfiable at (k,1)."""
     return reduce_formula(Cnf(1, ((1, 1, 1), (-1, -1, -1))), GapSpec(k, 1)).matrix
@@ -604,6 +643,25 @@ class TestClassicC1P:
             cycle = rng.sample(hidden, 5)
             pairs = [(cycle[j], cycle[(j + 1) % 5]) for j in range(5)]
             assert classic_c1p(BinaryMatrix.from_rows(n, rows + pairs)) is None
+
+    def test_orders_match_the_pinned_digest(self):
+        # The exact orders, not only their validity: 1,000 laminar families,
+        # 1,000 shuffled interval matrices and 1,000 interval matrices with a
+        # hidden 5-cycle, of 5-40 columns each.  A change that reorders
+        # classes and still returns valid orders shows here.
+        rng = random.Random(54)
+        digest = hashlib.sha256()
+        verdicts = Counter()
+        for i in range(3000):
+            kind = ("laminar", "intervals", "cycle")[i % 3]
+            n = rng.randint(5, 40)
+            rows = laminar_rows(rng, n) if i % 3 == 0 else interval_rows(rng, n, kind == "cycle")
+            order = consecutive_ordering(n, BinaryMatrix.from_rows(n, rows).rows)
+            digest.update(repr((n, order)).encode())
+            verdicts[kind, order is not None] += 1
+        assert verdicts == {("laminar", True): 971, ("laminar", False): 29,
+                            ("intervals", True): 1000, ("cycle", False): 1000}
+        assert digest.hexdigest() == "4da906d62a9684e2ac87919e172f190e0377f20bf06379e273453fa852c7a137"
 
 
 @st.composite

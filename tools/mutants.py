@@ -1,20 +1,23 @@
 """Mutants as a standing check: the oracle tests must catch every unsound prune.
 
-Each mutant is one exact source edit to the search, to the enumerator or
-to the reduction generator in ``src/gapc1p/``, and the edit's text must
-occur exactly once.  The script copies ``src/``, ``tests/`` and
-``pyproject.toml`` to a temporary directory and runs the oracle tests
-there: each module's selection on the unmutated copy, which must pass,
-then one run per mutant with its module's selection.  For the search that
-is ``brute_force`` agreement, the SAT side and the pinned statuses; for
-the enumerator, the permutation-filter reference tests and the pinned
-outputs above their reach; for the generator, the reduction tests without
-the digest pins, so that a wrong row is caught by the SAT-oracle
-equivalence and shape tests and not by a recorded hash.  An unsound
-mutant (one that can prune a valid ordering, return an invalid one or
-build a wrong instance) must fail them; a sound one, which only weakens a
-prune, must pass them, since the oracle tests pin answers and not node
-counts.
+Each mutant is one exact source edit to the search, to the enumerator, to
+the reduction generator or to the classical C1P test in ``src/gapc1p/``,
+and the edit's text must occur exactly once.  The script copies ``src/``,
+``tests/`` and ``pyproject.toml`` to a temporary directory and runs the
+oracle tests there: each module's selection on the unmutated copy, which
+must pass, then one run per mutant with its module's selection.  For the
+search that is ``brute_force`` agreement, the SAT side and the pinned
+statuses; for the enumerator, the permutation-filter reference tests and
+the pinned outputs above their reach; for the generator, the reduction
+tests without the digest pins, so that a wrong row is caught by the
+SAT-oracle equivalence and shape tests and not by a recorded hash; for
+the C1P test, the ``classic_c1p`` tests without the exact-order digest,
+so that a wrong answer is caught by ``brute_force`` agreement and the
+validity checks.  An unsound mutant (one that can prune a valid ordering,
+return an invalid one or build a wrong instance) must fail them; a sound
+one, which only weakens a prune or picks another valid ordering, must
+pass them, since the oracle tests pin answers and not node counts or
+orders.
 The copy matters: pyproject's ``pythonpath = ["src"]`` puts the checkout's
 own ``src/`` first, so a mutant applied in place would still be tested
 against the unmutated code.
@@ -38,7 +41,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # The pytest arguments that pick the tests each module's mutants run.
 SELECT = {"solver.py": ["-k", "brute_force or agree or oracle"],
           "bitmatrix.py": ["tests/test_bitmatrix.py", "-k", "forward_maps"],
-          "reduction.py": ["tests/test_reduction.py", "-k", "not digest"]}
+          "reduction.py": ["tests/test_reduction.py", "-k", "not digest"],
+          "pqtree.py": ["tests/test_solver.py", "-k", "(Classic or classic) and not digest"]}
 RUN_TIMEOUT = 900
 
 # (name, module under src/gapc1p, text, replacement, sound).  A prune PR adds
@@ -91,6 +95,12 @@ MUTANTS: list[tuple[str, str, str, str, bool]] = [
      "2 * a if lit > 0 else 2 * a - 1", "2 * a - 1 if lit > 0 else 2 * a - 1", False),
     ("literal rows without the earlier clause blocks", "reduction.py",
      "*literal_sep, *upto_head, target", "*literal_sep, block[0], target", False),
+    ("hit classes not checked to form one run", "pqtree.py",
+     "                if count != len(hit):\n", "                if False:\n", False),
+    ("low partial end class split on its outer side", "pqtree.py",
+     "(inner, x) if side else (x, inner)", "(inner, x) if side else (prev[x], x)", False),
+    ("new columns tried past the tail end first", "pqtree.py",
+     "side = 0 if prev[run[0]] < base else 1", "side = 1 if nxt[run[1]] < base else 0", True),
 ]
 
 
